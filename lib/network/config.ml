@@ -110,19 +110,23 @@ let system_facts variant policy network x a =
       base
       (Schema.all_facts (Policy.schema policy) a)
 
-let transition ~variant ~policy ~transducer ~input t ~node:x ~deliver =
+(* The local half of a transition: node [x]'s new state, sent facts and
+   output delta. It reads only [x], [x]'s state [s1] and the support [m]
+   of the delivery — the variant, policy, transducer and input are fixed
+   for a whole run or check — which is what makes it memoizable. *)
+type local = {
+  state2 : Instance.t;
+  snd : Instance.t;
+  out_delta : Instance.t;
+  state_churn : int;
+}
+
+let local_step ~variant ~policy ~transducer ~input ~node:x s1 m =
   let schema = transducer.Transducer.schema in
   let network = Policy.network policy in
-  if not (List.exists (Value.equal x) network) then
-    invalid_arg ("Config.transition: node not in network: " ^ Value.to_string x);
-  let buf_x = buffer_of t x in
-  if not (Multiset.sub deliver buf_x) then
-    invalid_arg "Config.transition: deliver is not a submultiset of the buffer";
   let h = Policy.dist policy (Instance.restrict input schema.Transducer_schema.input) in
   let local_input = Distributed.local h x in
-  let s1 = state_of t x in
-  let m = Instance.of_set (Multiset.support deliver) in
-  let j = Instance.union local_input (Instance.union s1 m) in
+  let j = Instance.union local_input (Instance.union s1 (Instance.of_set m)) in
   let a =
     let from_j = Instance.adom j in
     if variant.with_all then
@@ -144,31 +148,91 @@ let transition ~variant ~policy ~transducer ~input t ~node:x ~deliver =
   in
   let out2 = Instance.union out1 out_new in
   let s2 = Instance.union out2 mem2 in
-  let state = Value.Map.add x s2 t.state in
-  let snd_ms = Multiset.of_instance snd in
-  let recipients = List.filter (fun y -> not (Value.equal y x)) network in
+  {
+    state2 = s2;
+    snd;
+    out_delta = Instance.diff out2 out1;
+    state_churn =
+      Instance.cardinal (Instance.diff s2 s1)
+      + Instance.cardinal (Instance.diff s1 s2);
+  }
+
+module Memo = struct
+  module Key = struct
+    type t = Value.t * Instance.t * Fact.Set.t
+
+    let equal (x1, s1, m1) (x2, s2, m2) =
+      Value.equal x1 x2 && Instance.equal s1 s2 && Fact.Set.equal m1 m2
+
+    let hash (x, s, m) =
+      Hashtbl.hash
+        ( Value.hash x,
+          Instance.hash s,
+          Fact.Set.fold (fun f acc -> (acc * 31) + Fact.hash f) m 0 )
+  end
+
+  module Tbl = Hashtbl.Make (Key)
+
+  type t = { tbl : local Tbl.t; mutable hits : int; mutable misses : int }
+
+  let create () = { tbl = Tbl.create 256; hits = 0; misses = 0 }
+  let hits t = t.hits
+  let misses t = t.misses
+
+  let find_or_add t key compute =
+    match Tbl.find_opt t.tbl key with
+    | Some l ->
+      t.hits <- t.hits + 1;
+      l
+    | None ->
+      t.misses <- t.misses + 1;
+      let l = compute () in
+      Tbl.add t.tbl key l;
+      l
+end
+
+(* The buffer half: remove what [x] consumed, fan its sends out to every
+   other node. *)
+let deliver_and_send ~network t ~node:x ~deliver local =
+  let snd_ms = Multiset.of_instance local.snd in
   let buffer =
     Value.Map.mapi
       (fun y b ->
         if Value.equal y x then Multiset.diff b deliver
-        else if List.exists (Value.equal y) recipients then
-          Multiset.union b snd_ms
-        else b)
+        else Multiset.union b snd_ms)
       t.buffer
   in
+  let state = Value.Map.add x local.state2 t.state in
   let stats =
     {
-      messages_sent = Multiset.size snd_ms * List.length recipients;
+      messages_sent = Multiset.size snd_ms * (List.length network - 1);
       delivered = Multiset.size deliver;
-      new_state_facts =
-        Instance.cardinal (Instance.diff s2 s1)
-        + Instance.cardinal (Instance.diff s1 s2);
-      sent_facts = snd;
-      output_delta = Instance.diff out2 out1;
+      new_state_facts = local.state_churn;
+      sent_facts = local.snd;
+      output_delta = local.out_delta;
     }
   in
-  record_stats stats;
   ({ state; buffer }, stats)
+
+let transition ?memo ~variant ~policy ~transducer ~input t ~node:x ~deliver =
+  let network = Policy.network policy in
+  if not (List.exists (Value.equal x) network) then
+    invalid_arg ("Config.transition: node not in network: " ^ Value.to_string x);
+  if not (Multiset.sub deliver (buffer_of t x)) then
+    invalid_arg "Config.transition: deliver is not a submultiset of the buffer";
+  let s1 = state_of t x in
+  let m = Multiset.support deliver in
+  let compute () =
+    local_step ~variant ~policy ~transducer ~input ~node:x s1 m
+  in
+  let local =
+    match memo with
+    | None -> compute ()
+    | Some memo -> Memo.find_or_add memo (x, s1, m) compute
+  in
+  let t', stats = deliver_and_send ~network t ~node:x ~deliver local in
+  record_stats stats;
+  (t', stats)
 
 let heartbeat ~variant ~policy ~transducer ~input t ~node =
   transition ~variant ~policy ~transducer ~input t ~node

@@ -56,7 +56,22 @@ val system_facts :
     (already including whatever the variant prescribes). Exposed for
     tests. *)
 
+(** A memo table for the local half of {!transition}: node [x]'s new
+    state, sent facts and output delta, keyed by [x], [x]'s state and the
+    support of what [x] receives. A table is valid for one fixed
+    (variant, policy, transducer, input) only, relies on the transducer's
+    queries being pure functions of their input instance, and must not
+    be shared between domains. *)
+module Memo : sig
+  type t
+
+  val create : unit -> t
+  val hits : t -> int
+  val misses : t -> int
+end
+
 val transition :
+  ?memo:Memo.t ->
   variant:variant ->
   policy:Policy.t ->
   transducer:Transducer.t ->
@@ -64,7 +79,9 @@ val transition :
   t -> node:Value.t -> deliver:Multiset.t ->
   t * stats
 (** One transition of the given node consuming the given submultiset of
-    its buffer (the paper's [(ρ1, x, m, ρ2)]).
+    its buffer (the paper's [(ρ1, x, m, ρ2)]). With [memo], the local
+    half is served from the table when the same step was taken before;
+    the buffer bookkeeping and the [net.*] metrics run either way.
     @raise Invalid_argument if [deliver] is not a submultiset of the
     node's buffer or the node is not in the network. *)
 

@@ -20,16 +20,23 @@ end)
 
 exception Found of verdict
 
-(* Telemetry (all stable): BFS shape, not simulation detail. The inner
-   what-if simulation (successor steps, fair-continuation replays) runs
-   under [Metrics.silenced] — the sequential path caches continuations
-   while the parallel one recomputes them, so letting [Config.transition]
-   record there would make [net.*] counts jobs-dependent. What both paths
-   share is the round-structured search itself, and that is what we
-   count. *)
+(* Telemetry (stable unless marked): BFS shape, not simulation detail.
+   The inner what-if simulation (successor steps, fair-continuation
+   replays) runs under [Metrics.silenced] — the sequential path caches
+   continuations while the parallel one recomputes them, so letting
+   [Config.transition] record there would make [net.*] counts
+   jobs-dependent. What both paths share is the round-structured search
+   itself, and that is what we count. *)
 let m_expanded = Observe.Metrics.counter "explore.expanded"
 let m_dedup = Observe.Metrics.counter "explore.dedup_hits"
 let m_frontier = Observe.Metrics.histogram "explore.frontier"
+
+(* Memo traffic of the local transducer step. Volatile: the tables are
+   per domain, so the hit/miss split depends on [jobs]. *)
+let m_memo_hits = Observe.Metrics.counter ~stable:false "explore.step_memo_hits"
+
+let m_memo_misses =
+  Observe.Metrics.counter ~stable:false "explore.step_memo_misses"
 
 let check ?(max_configs = 20_000) ?jobs ~variant ~policy ~transducer ~query
     ~input () =
@@ -53,11 +60,28 @@ let check ?(max_configs = 20_000) ?jobs ~variant ~policy ~transducer ~query
           config.Config.buffer;
     }
   in
-  let step config node deliver =
+  (* One local-step memo table per domain: a configuration's many
+     successors, and the fair continuations of neighbouring
+     configurations, mostly repeat steps already taken — same node, same
+     state, same delivered support. A table is only ever used from the
+     domain that created it. *)
+  let memos = ref [] in
+  let memos_lock = Mutex.create () in
+  let domain_memo () =
+    let id = (Domain.self () :> int) in
+    Mutex.protect memos_lock (fun () ->
+        match List.assoc_opt id !memos with
+        | Some memo -> memo
+        | None ->
+          let memo = Config.Memo.create () in
+          memos := (id, memo) :: !memos;
+          memo)
+  in
+  let step memo config node deliver =
     canonical
       (fst
-         (Config.transition ~variant ~policy ~transducer ~input config ~node
-            ~deliver))
+         (Config.transition ~memo ~variant ~policy ~transducer ~input config
+            ~node ~deliver))
   in
   (* Complete per-node delivery choices: nothing, everything, or any
      single buffered fact. Single-fact deliveries subsume arbitrary
@@ -65,7 +89,7 @@ let check ?(max_configs = 20_000) ?jobs ~variant ~policy ~transducer ~query
      delivery is equivalent to a set of states reachable via singleton
      deliveries interleaved with heartbeats, because D only sees the
      support of what has been delivered and stored. *)
-  let successors config =
+  let successors memo config =
     List.concat_map
       (fun node ->
         let buffer = Config.buffer_of config node in
@@ -74,15 +98,16 @@ let check ?(max_configs = 20_000) ?jobs ~variant ~policy ~transducer ~query
             (fun f acc -> Multiset.add f Multiset.empty :: acc)
             (Multiset.support buffer) []
         in
-        List.map (step config node) (Multiset.empty :: buffer :: singletons))
+        List.map (step memo config node)
+          (Multiset.empty :: buffer :: singletons))
       network
   in
   (* The canonical fair continuation: full-delivery round-robin rounds
      until the round-level snapshot repeats; returns the final outputs. *)
   let final_cache = ref Cmap.empty in
-  let full_round config =
+  let full_round memo config =
     List.fold_left
-      (fun config node -> step config node (Config.buffer_of config node))
+      (fun config node -> step memo config node (Config.buffer_of config node))
       config network
   in
   let snapshot c =
@@ -92,11 +117,11 @@ let check ?(max_configs = 20_000) ?jobs ~variant ~policy ~transducer ~query
     Value.Map.equal Instance.equal s1 s2
     && Value.Map.equal Fact.Set.equal b1 b2
   in
-  let final_outputs_uncached config =
+  let final_outputs_uncached memo config =
     let rec go prev c budget =
       if budget = 0 then Config.outputs schema c
       else
-        let c' = full_round c in
+        let c' = full_round memo c in
         let snap = snapshot c' in
         match prev with
         | Some p when snapshot_equal p snap -> Config.outputs schema c'
@@ -104,20 +129,20 @@ let check ?(max_configs = 20_000) ?jobs ~variant ~policy ~transducer ~query
     in
     go None config 200
   in
-  let final_outputs config =
+  let final_outputs memo config =
     match Cmap.find_opt config !final_cache with
     | Some o -> o
     | None ->
-      let o = final_outputs_uncached config in
+      let o = final_outputs_uncached memo config in
       final_cache := Cmap.add config o !final_cache;
       o
   in
-  let inspect_with final config =
+  let inspect_with final memo config =
     let out = Config.outputs schema config in
     match Instance.to_list (Instance.diff out expected) with
     | extra :: _ -> Some (Wrong_output { config; extra })
     | [] -> (
-      match Instance.to_list (Instance.diff expected (final config)) with
+      match Instance.to_list (Instance.diff expected (final memo config)) with
       | missing :: _ -> Some (Stuck { config; missing })
       | [] -> None)
   in
@@ -148,7 +173,9 @@ let check ?(max_configs = 20_000) ?jobs ~variant ~policy ~transducer ~query
         let expanded =
           mapper
             (fun c ->
-              Observe.Metrics.silenced (fun () -> (inspect c, successors c)))
+              let memo = domain_memo () in
+              Observe.Metrics.silenced (fun () ->
+                  (inspect memo c, successors memo c)))
             !frontier
         in
         let wave_dedup = ref 0 in
@@ -181,13 +208,21 @@ let check ?(max_configs = 20_000) ?jobs ~variant ~policy ~transducer ~query
       Consistent { configs = Cset.cardinal !visited }
     with Found v -> v
   in
-  match jobs with
-  | Some j when j > 1 ->
-    Parallel.Pool.with_pool ~jobs:j (fun pool ->
-        bfs
-          ~mapper:(fun f frontier -> Parallel.Pool.map pool f frontier)
-          ~inspect:(inspect_with final_outputs_uncached))
-  | _ -> bfs ~mapper:List.map ~inspect:(inspect_with final_outputs)
+  let verdict =
+    match jobs with
+    | Some j when j > 1 ->
+      Parallel.Pool.with_pool ~jobs:j (fun pool ->
+          bfs
+            ~mapper:(fun f frontier -> Parallel.Pool.map pool f frontier)
+            ~inspect:(inspect_with final_outputs_uncached))
+    | _ -> bfs ~mapper:List.map ~inspect:(inspect_with final_outputs)
+  in
+  List.iter
+    (fun (_, memo) ->
+      Observe.Metrics.incr ~by:(Config.Memo.hits memo) m_memo_hits;
+      Observe.Metrics.incr ~by:(Config.Memo.misses memo) m_memo_misses)
+    !memos;
+  verdict
 
 let verdict_to_string = function
   | Consistent { configs } ->

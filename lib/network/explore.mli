@@ -50,6 +50,14 @@ val check :
     single-fact deliveries — complete for transducers that accumulate
     deliveries in memory, which all of this library's strategies do. The
     space is then finite whenever states grow monotonically over a finite
-    fact universe, so exploration terminates. *)
+    fact universe, so exploration terminates.
+
+    The local half of every transition — the node's new state, its sends
+    and its output delta — is memoized per check on (node, state,
+    delivered support), one table per domain ({!Config.Memo}). This
+    assumes the transducer's queries are pure functions of their input
+    instance (see {!Transducer.t}). The memo traffic is reported as the
+    volatile counters [explore.step_memo_hits] and
+    [explore.step_memo_misses]: their split depends on [jobs]. *)
 
 val verdict_to_string : verdict -> string

@@ -213,12 +213,17 @@ type held_copy = {
   depth : int;
 }
 
+module Imap = Map.Make (Int)
+
 type state = {
   plan : plan;
   net_size : int;
   rng : Random.State.t;
   mutable transitions : int;
-  mutable held : held_copy list;
+  mutable held : (int * held_copy) list Imap.t;
+      (* release round -> (hold sequence number, copy), newest first *)
+  mutable held_seq : int;
+  mutable held_copies : int;
   mutable log : Fact.Set.t Value.Map.t;
   mutable crashes : (Value.t * int) list;
   mutable last_round : int;
@@ -230,7 +235,9 @@ let start plan ~network =
     net_size = max 1 (List.length network);
     rng = Random.State.make [| plan.seed |];
     transitions = 0;
-    held = [];
+    held = Imap.empty;
+    held_seq = 0;
+    held_copies = 0;
     log = Value.Map.empty;
     crashes = plan.crashes;
     last_round = -1;
@@ -308,12 +315,36 @@ let draw_loss st =
 
 let add_held st h =
   Observe.Metrics.incr ~by:h.copies m_dropped;
-  st.held <- st.held @ [ h ]
+  let entry = (st.held_seq, h) in
+  st.held_seq <- st.held_seq + 1;
+  st.held_copies <- st.held_copies + h.copies;
+  st.held <-
+    Imap.update h.release
+      (fun b -> Some (entry :: Option.value b ~default:[]))
+      st.held
 
+(* Pop every bucket due by now. Run takes at every transition, so at most
+   one bucket is normally due; several (a caller that ticks without
+   taking) are merged back into hold order. *)
 let take_due st =
   let r = round st in
-  let due, rest = List.partition (fun h -> h.release <= r) st.held in
-  st.held <- rest;
+  let rec pop buckets =
+    match Imap.min_binding_opt st.held with
+    | Some (release, bucket) when release <= r ->
+      st.held <- Imap.remove release st.held;
+      pop (bucket :: buckets)
+    | _ -> buckets
+  in
+  let due =
+    match pop [] with
+    | [] -> []
+    | [ bucket ] -> List.rev_map snd bucket
+    | buckets ->
+      List.concat buckets
+      |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
+      |> List.map snd
+  in
+  List.iter (fun h -> st.held_copies <- st.held_copies - h.copies) due;
   due
 
 let record_delivery st ~node facts =
@@ -343,11 +374,10 @@ let redelivery st ~node =
 let quiescent st =
   let r = round st in
   let p = st.plan in
-  st.held = [] && st.crashes = []
+  Imap.is_empty st.held && st.crashes = []
   && List.for_all (fun part -> r >= part.from_round + part.rounds) p.partitions
   && (p.loss_prob <= 0. || r >= p.horizon)
 
-let held_pending st =
-  List.fold_left (fun acc h -> acc + h.copies) 0 st.held
+let held_pending st = st.held_copies
 
 let crashes_pending st = List.length st.crashes

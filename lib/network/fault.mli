@@ -135,6 +135,8 @@ val draw_loss : state -> int option
     rounds later. *)
 
 val add_held : state -> held_copy -> unit
+(** Hold a copy group until its release round. Holding and releasing
+    are O(log n) in the number of distinct release rounds pending. *)
 
 val take_due : state -> held_copy list
 (** Remove and return the held copies whose release round has been

@@ -317,9 +317,7 @@ let do_step rt ~variant ~policy ~transducer ~input config node deliver_of =
         let buffer =
           Value.Map.mapi
             (fun y b ->
-              if List.exists (Value.equal y) recipients then
-                Multiset.union b extra
-              else b)
+              if Value.equal y node then b else Multiset.union b extra)
             config'.Config.buffer
         in
         (dup, { config' with Config.buffer })
@@ -409,11 +407,7 @@ let do_step rt ~variant ~policy ~transducer ~input config node deliver_of =
                         depth = send_depth;
                       };
                     Value.Map.update y
-                      (fun b ->
-                        Some
-                          (Multiset.diff
-                             (Option.value b ~default:Multiset.empty)
-                             (Multiset.add ~copies:dup f Multiset.empty)))
+                      (Option.map (Multiset.remove_one ~copies:dup f))
                       buffer)
                 buffer recipients)
             config'.Config.buffer sent

@@ -3,7 +3,12 @@
     A transducer is a quadruple of queries [(Q_out, Q_ins, Q_del, Q_snd)]
     over the combined schema, producing respectively output facts, memory
     insertions, memory deletions, and messages. Queries can be given as
-    OCaml functions or as Datalog¬ programs. *)
+    OCaml functions or as Datalog¬ programs.
+
+    The four queries must be pure functions of their input instance: no
+    hidden state, no effects, the same result for equal instances.
+    {!Explore} relies on this, serving repeated local steps from a memo
+    table ({!Config.Memo}) instead of calling the queries again. *)
 
 open Relational
 

@@ -23,11 +23,12 @@ let diff a b =
       if k > 0 then Fact.Map.add f k t else t)
     a Fact.Map.empty
 
-let remove_one f t =
+let remove_one ?(copies = 1) f t =
+  if copies < 0 then invalid_arg "Multiset.remove_one: negative copies";
   match Fact.Map.find_opt f t with
   | None -> t
-  | Some 1 -> Fact.Map.remove f t
-  | Some n -> Fact.Map.add f (n - 1) t
+  | Some n when n <= copies -> Fact.Map.remove f t
+  | Some n -> Fact.Map.add f (n - copies) t
 
 let sub a b = Fact.Map.for_all (fun f n -> n <= count f b) a
 let fold = Fact.Map.fold

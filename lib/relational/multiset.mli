@@ -26,8 +26,10 @@ val union : t -> t -> t
 val diff : t -> t -> t
 (** Multiset difference: multiplicities subtract, truncated at zero. *)
 
-val remove_one : Fact.t -> t -> t
-(** Removes a single copy; identity if absent. *)
+val remove_one : ?copies:int -> Fact.t -> t -> t
+(** Removes [copies] copies (default 1), or every copy when there are no
+    more than that; identity if absent.
+    @raise Invalid_argument on negative [copies]. *)
 
 val sub : t -> t -> bool
 (** Submultiset test. *)

@@ -39,7 +39,13 @@ let part_plan =
   {
     Fault.none with
     partitions =
-      [ { Fault.from_round = 1; rounds = 2; groups = [ [ v 1 ]; [ v 2; v 3 ] ] } ];
+      [
+        {
+          Fault.from_round = 1;
+          rounds = 2;
+          groups = [ [ v 1 ]; [ v 2; v 3 ] ];
+        };
+      ];
   }
 
 let all_plan = Fault.default
@@ -517,9 +523,93 @@ let test_forced_disagree_exit_codes () =
     (Calm_core.Empirical.forced_disagree ~faults:all_plan ())
 
 (* ------------------------------------------------------------------ *)
+(* Held queue: random add/tick/take sequences against a reference model,
+   the append list with [List.partition] that the queue replaced. The
+   order of [take_due] feeds the causal trace, so it must match exactly. *)
+
+type held_op = Hold of { after : int; copies : int; fact : int } | Tick | Take
+
+let held_plan = { part_plan with loss_prob = 0.3; horizon = 3 }
+
+let gen_held_ops =
+  QCheck2.Gen.(
+    list_size (int_range 0 80)
+      (frequency
+         [
+           ( 3,
+             map3
+               (fun after copies fact -> Hold { after; copies; fact })
+               (int_range (-2) 4) (int_range 1 3) (int_range 1 3) );
+           (3, pure Tick);
+           (2, pure Take);
+         ]))
+
+let show_held_ops ops =
+  String.concat " "
+    (List.map
+       (function
+         | Hold { after; copies; fact } ->
+           Printf.sprintf "hold(%+d,x%d,f%d)" after copies fact
+         | Tick -> "tick"
+         | Take -> "take")
+       ops)
+
+let prop_held_queue_model =
+  QCheck2.Test.make ~name:"held queue = append-list model" ~count:300
+    ~print:show_held_ops gen_held_ops (fun ops ->
+      let st = Fault.start held_plan ~network:net3 in
+      let transitions = ref 0 and model = ref [] and serial = ref 0 in
+      let model_round () = !transitions / List.length net3 in
+      let model_quiescent () =
+        let r = model_round () in
+        !model = []
+        && List.for_all
+             (fun p -> r >= p.Fault.from_round + p.Fault.rounds)
+             held_plan.Fault.partitions
+        && r >= held_plan.Fault.horizon
+      in
+      let agree () =
+        Fault.held_pending st
+        = List.fold_left (fun acc h -> acc + h.Fault.copies) 0 !model
+        && Fault.quiescent st = model_quiescent ()
+      in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Hold { after; copies; fact } ->
+            incr serial;
+            let h =
+              {
+                Fault.recipient = v (1 + (!serial mod 3));
+                fact = Graph_gen.edge fact (fact + 1);
+                copies;
+                release = model_round () + after;
+                stamps = None;
+                depth = !serial;
+              }
+            in
+            Fault.add_held st h;
+            model := !model @ [ h ];
+            true
+          | Tick ->
+            Fault.tick st;
+            incr transitions;
+            true
+          | Take ->
+            let r = model_round () in
+            let due, rest =
+              List.partition (fun h -> h.Fault.release <= r) !model
+            in
+            model := rest;
+            Fault.take_due st = due)
+          && agree ())
+        ops)
 
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest [ prop_empty_plan_identity ]
+
+let held_queue_cases =
+  List.map QCheck_alcotest.to_alcotest [ prop_held_queue_model ]
 
 let () =
   Alcotest.run "faults"
@@ -537,6 +627,7 @@ let () =
         ] );
       ( "heartbeat",
         [ Alcotest.test_case "prefix pin" `Quick test_heartbeat_pin ] );
+      ("held-queue", held_queue_cases);
       ( "identity",
         [
           Alcotest.test_case "empty plan sweep across jobs" `Quick

@@ -849,6 +849,92 @@ let traced_run ~variant ~policy ~transducer ~input sched =
   let r = Run.run ~tracer ~variant ~policy ~transducer ~input sched in
   (r, Trace.events tracer)
 
+(* The explorer memoizes the local half of a transition. Along random
+   Stingy and Adversarial runs of the zoo strategies, every step replayed
+   through a shared memo table must equal the fresh transition: same
+   configuration, same sent facts, output delta and stats. Each trace is
+   replayed twice, so the second pass is served wholly from the table. *)
+let test_explore_memo_equivalence () =
+  let cells =
+    [
+      ( "broadcast/tc",
+        Strategies.Broadcast.transducer Zoo.tc,
+        Config.oblivious,
+        parity_policy,
+        Graph_gen.of_edges [ (1, 2); (2, 3); (3, 4) ] );
+      ( "absence/comp-edges",
+        Strategies.Absence.transducer comp_edges_for_explore,
+        Config.policy_aware,
+        parity_policy,
+        Graph_gen.of_edges [ (1, 2); (2, 1); (2, 3) ] );
+      ( "domain-request/win-move",
+        Strategies.Domain_request.transducer Zoo.winmove,
+        Config.policy_aware,
+        Policy.hash_value Zoo.winmove.Query.input net12,
+        winmove_input );
+    ]
+  in
+  let schedulers =
+    [
+      Run.Stingy { seed = 1; steps = 25 };
+      Run.Stingy { seed = 2; steps = 25 };
+      Run.Stingy { seed = 3; steps = 40 };
+      Run.Adversarial { steps = 25 };
+    ]
+  in
+  let stats_equal (a : Config.stats) (b : Config.stats) =
+    a.Config.messages_sent = b.Config.messages_sent
+    && a.Config.delivered = b.Config.delivered
+    && a.Config.new_state_facts = b.Config.new_state_facts
+    && Instance.equal a.Config.sent_facts b.Config.sent_facts
+    && Instance.equal a.Config.output_delta b.Config.output_delta
+  in
+  List.iter
+    (fun (name, transducer, variant, policy, input) ->
+      let memo = Config.Memo.create () in
+      let steps = ref 0 in
+      let replay label events =
+        ignore
+          (List.fold_left
+             (fun config (ev : Trace.event) ->
+               let node = ev.Trace.node in
+               let deliver = Multiset.of_list ev.Trace.delivered in
+               let fresh, fresh_stats =
+                 Config.transition ~variant ~policy ~transducer ~input config
+                   ~node ~deliver
+               in
+               let served, served_stats =
+                 Config.transition ~memo ~variant ~policy ~transducer ~input
+                   config ~node ~deliver
+               in
+               incr steps;
+               let at =
+                 Printf.sprintf "%s %s step %d" name label ev.Trace.index
+               in
+               check_bool (at ^ ": config") true (Config.equal fresh served);
+               check_bool (at ^ ": stats") true
+                 (stats_equal fresh_stats served_stats);
+               fresh)
+             (Config.start (Policy.network policy))
+             events)
+      in
+      List.iter
+        (fun sched ->
+          let _, events =
+            traced_run ~variant ~policy ~transducer ~input sched
+          in
+          let label = Run.scheduler_label sched in
+          replay (label ^ " pass 1") events;
+          replay (label ^ " pass 2") events)
+        schedulers;
+      check_bool (name ^ ": replayed some steps") true (!steps > 0);
+      check_int (name ^ ": every step looked up") !steps
+        (Config.Memo.hits memo + Config.Memo.misses memo);
+      check_bool (name ^ ": second passes hit") true
+        (Config.Memo.hits memo >= !steps / 2))
+    cells
+
+
 (* Check the vector-clock laws on one recorded trace: hb is a strict
    partial order that contains program order, Lamport clocks and trace
    order are linear extensions of it, and — the strong claim — hb as
@@ -1273,6 +1359,8 @@ let () =
             test_explore_finds_starvation;
           Alcotest.test_case "absence consistent" `Slow
             test_explore_absence_consistent;
+          Alcotest.test_case "step memo = fresh step" `Quick
+            test_explore_memo_equivalence;
         ] );
       ( "causal",
         [

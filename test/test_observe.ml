@@ -184,11 +184,34 @@ let test_explore_metrics_jobs_invariant () =
         | Value.Int a when a mod 2 = 1 -> [ Value.Int 101 ]
         | _ -> [ Value.Int 102 ])
   in
-  assert_jobs_invariant "explore broadcast/comp-edges" (fun jobs ->
-      Network.Explore.check ~max_configs:60_000 ~jobs
-        ~variant:Network.Config.policy_aware ~policy:parity
-        ~transducer:(Strategies.Broadcast.transducer comp_edges)
-        ~query:comp_edges ~input:crossed ())
+  let explore jobs =
+    Network.Explore.check ~max_configs:60_000 ~jobs
+      ~variant:Network.Config.policy_aware ~policy:parity
+      ~transducer:(Strategies.Broadcast.transducer comp_edges)
+      ~query:comp_edges ~input:crossed ()
+  in
+  assert_jobs_invariant "explore broadcast/comp-edges" explore;
+  (* The step-memo counters depend on [jobs]: recorded, but volatile. *)
+  List.iter
+    (fun jobs ->
+      Observe.Metrics.reset Observe.Metrics.root;
+      ignore (explore jobs);
+      let total name =
+        List.fold_left
+          (fun acc (r : Observe.Metrics.row) ->
+            if r.Observe.Metrics.name = name then begin
+              check_bool (name ^ " is volatile") false r.Observe.Metrics.stable;
+              acc + r.Observe.Metrics.count
+            end
+            else acc)
+          0
+          (Observe.Metrics.snapshot Observe.Metrics.root)
+      in
+      check_bool
+        (Printf.sprintf "step memo looked up at jobs=%d" jobs)
+        true
+        (total "explore.step_memo_hits" + total "explore.step_memo_misses" > 0))
+    [ 1; 2 ]
 
 (* ------------------------------------------------------------------ *)
 (* Exporters round-trip *)

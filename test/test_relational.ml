@@ -239,6 +239,31 @@ let test_multiset_remove_absent () =
   check_bool "identity" true
     (Multiset.equal Multiset.empty (Multiset.remove_one f Multiset.empty))
 
+(* [remove_one ~copies:k f] is [diff m {|f x k|}]: it takes [k] copies,
+   and every copy once [k] reaches the multiplicity. *)
+let test_multiset_remove_copies () =
+  let f = edge 1 2 and g = edge 3 4 in
+  let m = Multiset.(add ~copies:5 f (add g empty)) in
+  let as_diff k = Multiset.diff m (Multiset.add ~copies:k f Multiset.empty) in
+  List.iter
+    (fun k ->
+      check_bool
+        (Printf.sprintf "copies=%d is diff" k)
+        true
+        (Multiset.equal (as_diff k) (Multiset.remove_one ~copies:k f m)))
+    [ 0; 1; 2; 4; 5; 6; 9 ];
+  let m3 = Multiset.remove_one ~copies:3 f m in
+  check_int "3 of 5 taken" 2 (Multiset.count f m3);
+  check_int "g untouched" 1 (Multiset.count g m3);
+  let gone = Multiset.remove_one ~copies:5 f m in
+  check_bool "copies = multiplicity removes f" false (Multiset.mem f gone);
+  check_bool "copies > multiplicity removes f" false
+    (Multiset.mem f (Multiset.remove_one ~copies:7 f m));
+  check_int "only g left" 1 (Multiset.size gone);
+  Alcotest.check_raises "negative copies"
+    (Invalid_argument "Multiset.remove_one: negative copies") (fun () ->
+      ignore (Multiset.remove_one ~copies:(-1) f m))
+
 (* ------------------------------------------------------------------ *)
 (* Distributed *)
 
@@ -514,6 +539,7 @@ let () =
         [
           Alcotest.test_case "laws" `Quick test_multiset_laws;
           Alcotest.test_case "remove absent" `Quick test_multiset_remove_absent;
+          Alcotest.test_case "remove copies" `Quick test_multiset_remove_copies;
         ] );
       ( "distributed",
         [
