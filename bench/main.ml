@@ -1606,14 +1606,17 @@ let bechamel_section () =
   in
   let tests =
     [
+      (* E15 times both fixpoints on the one reference join engine, so
+         the gap is the semi-naive gain alone. *)
       Test.make ~name:"E15: naive TC (25v/45e)"
-        (Staged.stage (fun () -> ignore (Datalog.Eval.naive tc_rules graph25)));
+        (Staged.stage (fun () ->
+             ignore (Datalog.Refeval.naive tc_rules graph25)));
       Test.make ~name:"E15: semi-naive TC (25v/45e)"
         (Staged.stage (fun () ->
-             ignore (Datalog.Eval.seminaive tc_rules graph25)));
+             ignore (Datalog.Refeval.seminaive tc_rules graph25)));
       Test.make ~name:"E15: semi-naive TC (12v/20e)"
         (Staged.stage (fun () ->
-             ignore (Datalog.Eval.seminaive tc_rules graph12)));
+             ignore (Datalog.Refeval.seminaive tc_rules graph12)));
       Test.make ~name:"E13: well-founded win-move (20v/35e)"
         (Staged.stage (fun () ->
              ignore (Datalog.Wellfounded.eval winmove_rules game20)));
@@ -1635,16 +1638,6 @@ let bechamel_section () =
        in
        Test.make ~name:"E18: 4-cycles, greedy join order"
          (Staged.stage (fun () -> ignore (Datalog.Eval.seminaive squares graph12))));
-      (let squares =
-         Datalog.Parser.parse_program
-           "O(x,y,z,w) :- E(x,y), E(z,w), E(y,z), E(w,x)."
-       in
-       Test.make ~name:"E20: 4-cycles, hash join"
-         (Staged.stage (fun () ->
-              ignore (Datalog.Hashjoin.seminaive squares graph12))));
-      Test.make ~name:"E20: semi-naive TC, hash join (25v/45e)"
-        (Staged.stage (fun () ->
-             ignore (Datalog.Hashjoin.seminaive tc_rules graph25)));
       Test.make ~name:"E14: broadcast/TC, 4 nodes"
         (Staged.stage
            (run_strategy (Strategies.Broadcast.transducer Zoo.tc) Zoo.tc

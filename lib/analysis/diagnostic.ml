@@ -1,5 +1,6 @@
 open Datalog
 module Span = Ast.Span
+module Json = Observe.Json
 
 type severity =
   | Error

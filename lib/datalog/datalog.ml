@@ -1,5 +1,6 @@
-(** Datalog¬ engines: abstract syntax, parsing, stratification, naive and
-    semi-naive fixpoints, well-founded semantics, (semi-)connectivity
+(** Datalog¬ engines: abstract syntax, parsing, stratification, the
+    semi-naive fixpoint (with incremental maintenance and a frozen
+    reference evaluator), well-founded semantics, (semi-)connectivity
     analysis, fragment classification, and ILOG¬ value invention. *)
 
 module Ast = Ast
@@ -13,9 +14,7 @@ module Connectivity = Connectivity
 module Fragment = Fragment
 module Points_of_order = Points_of_order
 module Depgraph = Depgraph
-module Hashjoin = Hashjoin
 module Ivm = Ivm
-module Goal = Goal
 module Ilog = Ilog
 module Adom = Adom
 module Program = Program

@@ -2,10 +2,7 @@ open Relational
 
 exception Diverged
 
-let skolem_functor = Joindb.skolem_functor
-
 module Env = Joindb.Env
-module Smap = Joindb.Smap
 
 let default_neg = Joindb.default_neg
 
@@ -56,38 +53,14 @@ let reorder_body (r : Ast.rule) =
 
 let optimize p = List.map reorder_body p
 
-type stats = { mutable probes : int; mutable hits : int }
-
-(* Enumerate environments extending [env] satisfying the positive atoms;
-   atom number [idx] (if given) probes [delta] instead of the full
-   database. Each atom costs one index lookup plus a scan of the facts
-   agreeing with the bindings on its keyed positions. *)
-let rec satisfy stats plans which i n db delta env k =
-  if i = n then k env
-  else begin
-    let ap : Joindb.atom_plan = plans.(i) in
-    let source = if Some i = which then delta else db in
-    let key = Joindb.key_of_env env ap in
-    let candidates =
-      Joindb.probe source ap.pred ~arity:ap.arity
-        ~positions:ap.key_positions key
-    in
-    (match candidates with [] -> () | _ -> stats.hits <- stats.hits + 1);
-    List.iter
-      (fun f ->
-        stats.probes <- stats.probes + 1;
-        match Joindb.extend env ap.slots f with
-        | None -> ()
-        | Some env' -> satisfy stats plans which (i + 1) n db delta env' k)
-      candidates
-  end
-
-(* Delta plumbing for the incremental (IVM) layer: enumerate the
-   valuations of a plan's positive body with a caller-chosen probe per
-   atom position. [probe i ap key emit] must call [emit] on every
-   candidate fact for atom [i] whose keyed positions equal [key]; the
-   IVM layer composes base/overlay databases and membership filters
-   there (Δ-only positions, old ∖ removed, the counting partitions).
+(* The one join loop: enumerate the valuations of a plan's positive
+   body with a caller-chosen probe per atom position. [probe i ap key
+   emit] must call [emit] on every candidate fact for atom [i] whose
+   keyed positions equal [key]. Each atom costs one index lookup plus a
+   scan of the facts agreeing with the bindings on its keyed positions.
+   The fixpoint probes the database or Δ and counts; EXPLAIN counts per
+   atom; the IVM layer composes base/overlay databases and membership
+   filters (Δ-only positions, old ∖ removed, the counting partitions).
    Inequality and negation side conditions stay with the caller, which
    sees each complete valuation. *)
 let iter_firings ~probe (p : Joindb.plan) k =
@@ -117,16 +90,30 @@ let derive_plan ~neg ~current ~db ~delta ~which (p : Joindb.plan) acc =
   let profiling = Observe.Profile.is_enabled () in
   let run () =
     let out = ref acc in
-    let stats = { probes = 0; hits = 0 } in
-    let fired = ref 0 in
-    let n = Array.length p.atoms in
-    satisfy stats p.atoms which 0 n db delta Env.empty (fun env ->
+    let probes = ref 0 and hits = ref 0 and fired = ref 0 in
+    (* Atom [which] probes [delta] instead of the full database. *)
+    let probe i (ap : Joindb.atom_plan) key emit =
+      let source = if Some i = which then delta else db in
+      match
+        Joindb.probe source ap.pred ~arity:ap.arity
+          ~positions:ap.key_positions key
+      with
+      | [] -> ()
+      | candidates ->
+        incr hits;
+        List.iter
+          (fun f ->
+            incr probes;
+            emit f)
+          candidates
+    in
+    iter_firings ~probe p (fun env ->
         if Joindb.checks_pass current neg env p.rule then begin
           if profiling then incr fired;
           out := Instance.add (Joindb.ground_atom env p.rule.head) !out
         end);
-    if stats.probes > 0 then Observe.Metrics.incr ~by:stats.probes m_join_probes;
-    if stats.hits > 0 then Observe.Metrics.incr ~by:stats.hits m_index_hits;
+    if !probes > 0 then Observe.Metrics.incr ~by:!probes m_join_probes;
+    if !hits > 0 then Observe.Metrics.incr ~by:!hits m_index_hits;
     (!out, !fired)
   in
   if not profiling then fst (run ())
@@ -164,23 +151,13 @@ let derive_plans ?(neg = default_neg) plans j =
   Observe.Metrics.incr ~by:(Instance.cardinal out) m_derived;
   out
 
-let derive ?neg p j = derive_plans ?neg (Joindb.plan_program p) j
-
-let immediate_consequence ?neg p j = Instance.union j (derive ?neg p j)
+let immediate_consequence ?neg p j =
+  Instance.union j (derive_plans ?neg (Joindb.plan_program p) j)
 
 let guard max_facts j =
   match max_facts with
   | Some budget when Instance.cardinal j > budget -> raise Diverged
   | _ -> ()
-
-let naive ?neg ?max_facts p i =
-  let plans = Joindb.plan_program p in
-  let rec go j =
-    guard max_facts j;
-    let j' = Instance.union j (derive_plans ?neg plans j) in
-    if Instance.equal j' j then j else go j'
-  in
-  go i
 
 (* Semi-naive: after the first full round, every new derivation must match
    at least one positive atom in the delta. Negated predicates are fixed
@@ -268,31 +245,21 @@ let explain ?(neg = default_neg) p j =
       let lookups = Array.make n 0 and cands = Array.make n 0 in
       let vals = ref 0 and fired = ref 0 in
       let out = ref Instance.empty in
-      let rec go i env =
-        if i = n then begin
+      let probe i (ap : Joindb.atom_plan) key emit =
+        lookups.(i) <- lookups.(i) + 1;
+        let candidates =
+          Joindb.probe db ap.pred ~arity:ap.arity ~positions:ap.key_positions
+            key
+        in
+        cands.(i) <- cands.(i) + List.length candidates;
+        List.iter emit candidates
+      in
+      iter_firings ~probe pl (fun env ->
           incr vals;
           if Joindb.checks_pass j neg env pl.rule then begin
             incr fired;
             out := Instance.add (Joindb.ground_atom env pl.rule.head) !out
-          end
-        end
-        else begin
-          let ap = pl.atoms.(i) in
-          lookups.(i) <- lookups.(i) + 1;
-          let candidates =
-            Joindb.probe db ap.pred ~arity:ap.arity ~positions:ap.key_positions
-              (Joindb.key_of_env env ap)
-          in
-          cands.(i) <- cands.(i) + List.length candidates;
-          List.iter
-            (fun f ->
-              match Joindb.extend env ap.slots f with
-              | None -> ()
-              | Some env' -> go (i + 1) env')
-            candidates
-        end
-      in
-      go 0 Env.empty;
+          end);
       let atom_reports =
         List.init n (fun i ->
             let ap = pl.atoms.(i) in

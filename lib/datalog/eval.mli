@@ -1,6 +1,6 @@
 (** Fixpoint evaluation of Datalog¬ programs.
 
-    [naive] and [seminaive] compute the minimal fixpoint of the immediate
+    [seminaive] computes the minimal fixpoint of the immediate
     consequence operator [T_P] (Section 2) for semi-positive programs —
     programs whose negated predicates are never derived by the rules being
     evaluated (their extent is fixed throughout). [stratified] runs a
@@ -21,22 +21,14 @@ exception Diverged
     value invention, whose output the paper leaves undefined when infinite
     (Section 5.2). *)
 
-val skolem_functor : string -> string
-(** Name of the Skolem functor associated with an invention relation
-    ([f_R] in the paper). *)
-
-val derive :
-  ?neg:(Instance.t -> Fact.t -> bool) ->
-  Ast.program -> Instance.t -> Instance.t
-(** Facts derived by all satisfying valuations on the given instance (the
-    [A] in [T_P(J) = J ∪ A]); result may overlap the instance. *)
-
 val reorder_body : Ast.rule -> Ast.rule
 (** Join-order heuristic: greedily reorders the positive body atoms so
     that each atom shares as many variables as possible with the atoms
     before it (ties broken towards atoms with constants, then fewer
     variables). Semantically a no-op — rule bodies are sets — but it
-    prunes the nested-loop search; see the E18 ablation bench. *)
+    shrinks the join's intermediate bindings. Not applied by the
+    evaluators themselves: rules are joined in source order unless the
+    caller optimizes them first, as the E18 ablation bench does. *)
 
 val optimize : Ast.program -> Ast.program
 (** {!reorder_body} applied to every rule. *)
@@ -46,19 +38,14 @@ val immediate_consequence :
   Ast.program -> Instance.t -> Instance.t
 (** [T_P(J)]. *)
 
-val naive :
-  ?neg:(Instance.t -> Fact.t -> bool) ->
-  ?max_facts:int ->
-  Ast.program -> Instance.t -> Instance.t
-(** Least fixpoint above the input by naive iteration.
-    @raise Diverged if the fixpoint grows past [max_facts]. *)
-
 val seminaive :
   ?neg:(Instance.t -> Fact.t -> bool) ->
   ?max_facts:int ->
   Ast.program -> Instance.t -> Instance.t
-(** Least fixpoint by semi-naive (delta) iteration. Agrees with {!naive}
-    on semi-positive programs (tested property). *)
+(** Least fixpoint above the input by semi-naive (delta) iteration.
+    Agrees with the reference naive fixpoint {!Refeval.naive} on
+    semi-positive programs (tested property).
+    @raise Diverged if the fixpoint grows past [max_facts]. *)
 
 val stratified :
   ?max_facts:int -> Ast.program -> Instance.t -> (Instance.t, string) result
@@ -72,9 +59,9 @@ val iter_firings :
   probe:
     (int -> Joindb.atom_plan -> Value.t list -> (Fact.t -> unit) -> unit) ->
   Joindb.plan -> (Value.t Joindb.Env.t -> unit) -> unit
-(** Delta plumbing for {!Ivm}: enumerate complete valuations of a plan's
-    positive body, probing each atom position through a caller-supplied
-    source. [probe i ap key emit] must pass every candidate fact for atom
+(** The evaluator's one join loop, shared with {!Ivm}: enumerate
+    complete valuations of a plan's positive body, probing each atom
+    position through a caller-supplied source. [probe i ap key emit] must pass every candidate fact for atom
     [i] whose keyed positions equal [key] to [emit]; the caller composes
     base and overlay databases, membership filters, and the counting
     partitions there. Inequality and negation checks are the caller's

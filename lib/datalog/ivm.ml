@@ -71,6 +71,28 @@ let probe_db_filtered db skip (ap : Joindb.atom_plan) key emit =
     (fun f -> if not (skip f) then emit f)
     (Joindb.probe db ap.pred ~arity:ap.arity ~positions:ap.key_positions key)
 
+(* The per-run Δ indexes of the rounds so far. *)
+let probe_local local ap key emit =
+  List.iter (fun db -> probe_db db ap key emit) !local
+
+(* The one Δ-position enumeration: fire every plan once per body
+   position [which], probing [delta] there, [before] at earlier positions
+   and [after] at later ones. [before] defaults to [after]; only the
+   counting partition tells the pre-state from the post-state. *)
+let iter_delta ~delta ?before ~after plans k =
+  let before = Option.value before ~default:after in
+  List.iter
+    (fun (pl : Joindb.plan) ->
+      for which = 0 to Array.length pl.atoms - 1 do
+        Eval.iter_firings
+          ~probe:(fun i ap key emit ->
+            if i = which then probe_db delta ap key emit
+            else if i < which then before ap key emit
+            else after ap key emit)
+          pl (k pl)
+      done)
+    plans
+
 (* ------------------------------------------------------------------ *)
 (* Stratum compilation *)
 
@@ -213,6 +235,30 @@ let probe_full rs ap key emit =
 let relevant_to s f = Sset.mem (Fact.rel f) s.body_preds
 
 (* ------------------------------------------------------------------ *)
+(* The one semi-naive rounds loop, shared by insertion, recomputation and
+   re-derivation. Each round indexes the facts [fire] pushed onto
+   [fresh] during the previous one, makes them visible to [base] through
+   [local], probes them at every body position (the rest through
+   [base]) and checks the budget. Returns every fact pushed during the
+   rounds, round by round. *)
+let rounds rs ~local ~base ~fresh ~fire plans =
+  let rec go acc =
+    match !fresh with
+    | [] -> acc
+    | delta_facts ->
+      let delta = Joindb.of_facts delta_facts in
+      local := delta :: !local;
+      fresh := [];
+      iter_delta ~delta ~after:base plans fire;
+      let n = List.length !fresh in
+      rs.size <- rs.size + n;
+      guard rs;
+      rs.size <- rs.size - n;
+      go (List.rev_append !fresh acc)
+  in
+  go []
+
+(* ------------------------------------------------------------------ *)
 (* Insertion-only semi-naive over one stratum: the scan's hot path.
    Requires no removals among the stratum's body or head predicates and
    untouched negated predicates; presence additions committed so far
@@ -220,73 +266,39 @@ let relevant_to s f = Sset.mem (Fact.rel f) s.body_preds
    seed the delta. Returns the freshly derived head facts. *)
 let sem_add rs s =
   let seen = ref Instance.empty in
-  let all_fresh = ref [] in
+  let fresh = ref (List.filter (relevant_to s) rs.adds) in
   let local = ref [] in
-  let full ap key emit =
+  let base ap key emit =
     probe_full rs ap key emit;
-    List.iter (fun db -> probe_db db ap key emit) !local
+    probe_local local ap key emit
   in
-  let rec rounds delta_facts =
-    match delta_facts with
-    | [] -> ()
-    | _ ->
-      let ddb = Joindb.of_facts delta_facts in
-      local := ddb :: !local;
-      let fresh = ref [] in
-      List.iter
-        (fun (pl : Joindb.plan) ->
-          let n = Array.length pl.atoms in
-          for which = 0 to n - 1 do
-            Eval.iter_firings
-              ~probe:(fun i ap key emit ->
-                if i = which then probe_db ddb ap key emit
-                else full ap key emit)
-              pl
-              (fun env ->
-                if Joindb.checks_pass rs.m_new Joindb.default_neg env pl.rule
-                then begin
-                  let f = Joindb.ground_atom env pl.rule.Ast.head in
-                  if
-                    (not (Instance.mem f rs.m_new))
-                    && not (Instance.mem f !seen)
-                  then begin
-                    seen := Instance.add f !seen;
-                    fresh := f :: !fresh
-                  end
-                end)
-          done)
-        s.plans;
-      let fresh = !fresh in
-      all_fresh := List.rev_append fresh !all_fresh;
-      rs.size <- rs.size + List.length fresh;
-      guard rs;
-      rs.size <- rs.size - List.length fresh;
-      rounds fresh
+  let fire (pl : Joindb.plan) env =
+    if Joindb.checks_pass rs.m_new Joindb.default_neg env pl.rule then begin
+      let f = Joindb.ground_atom env pl.rule.Ast.head in
+      if (not (Instance.mem f rs.m_new)) && not (Instance.mem f !seen) then begin
+        seen := Instance.add f !seen;
+        fresh := f :: !fresh
+      end
+    end
   in
-  rounds (List.filter (relevant_to s) rs.adds);
-  !all_fresh
+  rounds rs ~local ~base ~fresh ~fire s.plans
 
-(* ------------------------------------------------------------------ *)
-(* Per-stratum recomputation: the fallback when a stratum's negated
-   predicates are touched (or, in pure mode, when any removal reaches its
-   body). Evaluates the stratum's rules to fixpoint over the new lower
-   model — old head facts of this stratum excluded, given head facts kept
-   — and returns the set of fired (hence derivable) head facts. *)
-let scratch rs s ~gh_start =
-  let skip f =
-    Instance.mem f rs.rem_inst || Sset.mem (Fact.rel f) s.heads
-  in
-  let ghdb = Joindb.of_facts gh_start in
+(* Fixpoint of a stratum's rules for the two recomputing paths, over the
+   old model minus [skip], the additions so far and the [given] head
+   facts. [full] selects the rules that get one full pass; [adds] seeds
+   one semi-naive pass; the rounds take it from there. [seen] and
+   [derived] start from what the caller already holds. Returns every
+   head fact fired plus [derived]. *)
+let refixpoint rs s ~skip ~given ~seen ~derived ~full ~adds =
+  let ghdb = Joindb.of_facts given in
   let local = ref [] in
   let base ap key emit =
     probe_db_filtered rs.h.db skip ap key emit;
     List.iter (fun db -> probe_db db ap key emit) rs.overlays;
     probe_db ghdb ap key emit;
-    List.iter (fun db -> probe_db db ap key emit) !local
+    probe_local local ap key emit
   in
-  let seen = ref (Instance.of_list gh_start) in
-  let derived' = ref Instance.empty in
-  let fresh = ref [] in
+  let seen = ref seen and derived' = ref derived and fresh = ref [] in
   let fire (pl : Joindb.plan) env =
     if Joindb.checks_pass rs.m_new Joindb.default_neg env pl.rule then begin
       let f = Joindb.ground_atom env pl.rule.Ast.head in
@@ -298,35 +310,34 @@ let scratch rs s ~gh_start =
     end
   in
   List.iter
-    (fun pl -> Eval.iter_firings ~probe:(fun _ ap key emit -> base ap key emit)
-        pl (fire pl))
+    (fun (pl : Joindb.plan) ->
+      if full pl then
+        Eval.iter_firings ~probe:(fun _ -> base) pl (fire pl))
     s.plans;
-  let rec rounds delta_facts =
-    match delta_facts with
-    | [] -> ()
-    | _ ->
-      let ddb = Joindb.of_facts delta_facts in
-      local := ddb :: !local;
-      fresh := [];
-      List.iter
-        (fun (pl : Joindb.plan) ->
-          let n = Array.length pl.atoms in
-          for which = 0 to n - 1 do
-            Eval.iter_firings
-              ~probe:(fun i ap key emit ->
-                if i = which then probe_db ddb ap key emit
-                else base ap key emit)
-              pl (fire pl)
-          done)
-        s.plans;
-      rs.size <- rs.size + List.length !fresh;
-      guard rs;
-      rs.size <- rs.size - List.length !fresh;
-      rounds !fresh
-  in
-  rounds !fresh;
-  Observe.Metrics.incr ~by:(Instance.cardinal !derived') m_rederived;
+  (match adds with
+  | [] -> ()
+  | _ -> iter_delta ~delta:(Joindb.of_facts adds) ~after:base s.plans fire);
+  ignore (rounds rs ~local ~base ~fresh ~fire s.plans);
   !derived'
+
+(* ------------------------------------------------------------------ *)
+(* Per-stratum recomputation: the fallback when a stratum's negated
+   predicates are touched (or, in pure mode, when any removal reaches its
+   body). Evaluates the stratum's rules to fixpoint over the new lower
+   model — old head facts of this stratum excluded, given head facts kept
+   — and returns the set of fired (hence derivable) head facts. *)
+let scratch rs s ~gh_start =
+  let derived' =
+    refixpoint rs s
+      ~skip:(fun f ->
+        Instance.mem f rs.rem_inst || Sset.mem (Fact.rel f) s.heads)
+      ~given:gh_start ~seen:(Instance.of_list gh_start)
+      ~derived:Instance.empty
+      ~full:(fun _ -> true)
+      ~adds:[]
+  in
+  Observe.Metrics.incr ~by:(Instance.cardinal derived') m_rederived;
+  derived'
 
 (* ------------------------------------------------------------------ *)
 (* DRed for a recursive stratum under removals (negated predicates
@@ -349,29 +360,16 @@ let dred rs s ~ghr =
     match w with
     | [] -> ()
     | _ ->
-      let wdb = Joindb.of_facts w in
       let next = ref [] in
-      List.iter
-        (fun (pl : Joindb.plan) ->
-          let n = Array.length pl.atoms in
-          for which = 0 to n - 1 do
-            Eval.iter_firings
-              ~probe:(fun i ap key emit ->
-                if i = which then probe_db wdb ap key emit
-                else probe_db rs.h.db ap key emit)
-              pl
-              (fun env ->
-                if Joindb.checks_pass rs.m_new Joindb.default_neg env pl.rule
-                then begin
-                  let f = Joindb.ground_atom env pl.rule.Ast.head in
-                  if Instance.mem f s.derived && not (Instance.mem f !d)
-                  then begin
-                    d := Instance.add f !d;
-                    next := f :: !next
-                  end
-                end)
-          done)
-        s.plans;
+      iter_delta ~delta:(Joindb.of_facts w) ~after:(probe_db rs.h.db) s.plans
+        (fun pl env ->
+          if Joindb.checks_pass rs.m_new Joindb.default_neg env pl.rule then begin
+            let f = Joindb.ground_atom env pl.rule.Ast.head in
+            if Instance.mem f s.derived && not (Instance.mem f !d) then begin
+              d := Instance.add f !d;
+              next := f :: !next
+            end
+          end);
       over_del !next
   in
   over_del seed;
@@ -387,87 +385,23 @@ let rederive rs s ~survivors ~d ~gh_all ~ghr_inst =
   let d_preds =
     Instance.fold (fun f s -> Sset.add (Fact.rel f) s) d Sset.empty
   in
-  let skip f =
-    Instance.mem f rs.rem_inst || Instance.mem f d || Instance.mem f ghr_inst
+  let derived' =
+    refixpoint rs s
+      ~skip:(fun f ->
+        Instance.mem f rs.rem_inst || Instance.mem f d
+        || Instance.mem f ghr_inst)
+      ~given:(List.filter (fun f -> not (Instance.mem f rs.h.model)) gh_all)
+      ~seen:(List.fold_left (fun m f -> Instance.add f m) survivors gh_all)
+      ~derived:survivors
+      (* Pass B: full pass for rules that can resurrect over-deleted
+         heads. *)
+      ~full:(fun pl -> Sset.mem pl.Joindb.rule.Ast.head.pred d_preds)
+      (* Pass A: semi-naive over the additions accumulated so far. *)
+      ~adds:(List.filter (relevant_to s) rs.adds)
   in
-  let gh_new =
-    List.filter (fun f -> not (Instance.mem f rs.h.model)) gh_all
-  in
-  let ghdb = Joindb.of_facts gh_new in
-  let local = ref [] in
-  let base ap key emit =
-    probe_db_filtered rs.h.db skip ap key emit;
-    List.iter (fun db -> probe_db db ap key emit) rs.overlays;
-    probe_db ghdb ap key emit;
-    List.iter (fun db -> probe_db db ap key emit) !local
-  in
-  let seen =
-    ref (List.fold_left (fun m f -> Instance.add f m) survivors gh_all)
-  in
-  let derived' = ref survivors in
-  let fresh = ref [] in
-  let fire (pl : Joindb.plan) env =
-    if Joindb.checks_pass rs.m_new Joindb.default_neg env pl.rule then begin
-      let f = Joindb.ground_atom env pl.rule.Ast.head in
-      derived' := Instance.add f !derived';
-      if not (Instance.mem f !seen) then begin
-        seen := Instance.add f !seen;
-        fresh := f :: !fresh
-      end
-    end
-  in
-  (* Pass B: full pass for rules that can resurrect over-deleted heads. *)
-  List.iter
-    (fun (pl : Joindb.plan) ->
-      if Sset.mem pl.rule.Ast.head.pred d_preds then
-        Eval.iter_firings
-          ~probe:(fun _ ap key emit -> base ap key emit)
-          pl (fire pl))
-    s.plans;
-  (* Pass A: semi-naive over the additions accumulated so far. *)
-  let body_adds = List.filter (relevant_to s) rs.adds in
-  (match body_adds with
-  | [] -> ()
-  | _ ->
-    let adb = Joindb.of_facts body_adds in
-    List.iter
-      (fun (pl : Joindb.plan) ->
-        let n = Array.length pl.atoms in
-        for which = 0 to n - 1 do
-          Eval.iter_firings
-            ~probe:(fun i ap key emit ->
-              if i = which then probe_db adb ap key emit
-              else base ap key emit)
-            pl (fire pl)
-        done)
-      s.plans);
-  let rec rounds delta_facts =
-    match delta_facts with
-    | [] -> ()
-    | _ ->
-      let ddb = Joindb.of_facts delta_facts in
-      local := ddb :: !local;
-      fresh := [];
-      List.iter
-        (fun (pl : Joindb.plan) ->
-          let n = Array.length pl.atoms in
-          for which = 0 to n - 1 do
-            Eval.iter_firings
-              ~probe:(fun i ap key emit ->
-                if i = which then probe_db ddb ap key emit
-                else base ap key emit)
-              pl (fire pl)
-          done)
-        s.plans;
-      rs.size <- rs.size + List.length !fresh;
-      guard rs;
-      rs.size <- rs.size - List.length !fresh;
-      rounds !fresh
-  in
-  rounds !fresh;
-  let recomputed = Instance.cardinal (Instance.diff !derived' survivors) in
+  let recomputed = Instance.cardinal (Instance.diff derived' survivors) in
   if recomputed > 0 then Observe.Metrics.incr ~by:recomputed m_rederived;
-  !derived'
+  derived'
 
 (* ------------------------------------------------------------------ *)
 (* Counting maintenance for a non-recursive stratum (negated predicates
@@ -490,65 +424,39 @@ let counting_maintain rs s ~ghr =
   | [] -> ()
   | _ ->
     let c = Option.get counts in
-    let rdb = Joindb.of_facts body_rem in
     let in_rem f = Instance.mem f rs.rem_inst in
-    List.iter
-      (fun (pl : Joindb.plan) ->
-        let n = Array.length pl.atoms in
-        for which = 0 to n - 1 do
-          Eval.iter_firings
-            ~probe:(fun i ap key emit ->
-              if i = which then probe_db rdb ap key emit
-              else if i < which then
-                probe_db_filtered rs.h.db in_rem ap key emit
-              else probe_db rs.h.db ap key emit)
-            pl
-            (fun env ->
-              if Joindb.checks_pass rs.m_new Joindb.default_neg env pl.rule
-              then begin
-                let f = Joindb.ground_atom env pl.rule.Ast.head in
-                match Ftbl.find_opt c f with
-                | Some k when k > 1 -> Ftbl.replace c f (k - 1)
-                | Some _ ->
-                  Ftbl.remove c f;
-                  derived' := Instance.remove f !derived'
-                | None -> ()
-              end)
-        done)
-      s.plans);
+    iter_delta ~delta:(Joindb.of_facts body_rem)
+      ~before:(probe_db_filtered rs.h.db in_rem)
+      ~after:(probe_db rs.h.db) s.plans
+      (fun pl env ->
+        if Joindb.checks_pass rs.m_new Joindb.default_neg env pl.rule then begin
+          let f = Joindb.ground_atom env pl.rule.Ast.head in
+          match Ftbl.find_opt c f with
+          | Some k when k > 1 -> Ftbl.replace c f (k - 1)
+          | Some _ ->
+            Ftbl.remove c f;
+            derived' := Instance.remove f !derived'
+          | None -> ()
+        end));
   (match body_add with
   | [] -> ()
   | _ ->
-    let adb = Joindb.of_facts body_add in
     let in_rem f = Instance.mem f rs.rem_inst in
     let mid ap key emit = probe_db_filtered rs.h.db in_rem ap key emit in
     let post ap key emit =
       mid ap key emit;
       List.iter (fun db -> probe_db db ap key emit) rs.overlays
     in
-    List.iter
-      (fun (pl : Joindb.plan) ->
-        let n = Array.length pl.atoms in
-        for which = 0 to n - 1 do
-          Eval.iter_firings
-            ~probe:(fun i ap key emit ->
-              if i = which then probe_db adb ap key emit
-              else if i < which then mid ap key emit
-              else post ap key emit)
-            pl
-            (fun env ->
-              if Joindb.checks_pass rs.m_new Joindb.default_neg env pl.rule
-              then begin
-                let f = Joindb.ground_atom env pl.rule.Ast.head in
-                (match counts with
-                | Some c ->
-                  Ftbl.replace c f
-                    (1 + (try Ftbl.find c f with Not_found -> 0))
-                | None -> ());
-                derived' := Instance.add f !derived'
-              end)
-        done)
-      s.plans);
+    iter_delta ~delta:(Joindb.of_facts body_add) ~before:mid ~after:post
+      s.plans (fun pl env ->
+        if Joindb.checks_pass rs.m_new Joindb.default_neg env pl.rule then begin
+          let f = Joindb.ground_atom env pl.rule.Ast.head in
+          (match counts with
+          | Some c ->
+            Ftbl.replace c f (1 + (try Ftbl.find c f with Not_found -> 0))
+          | None -> ());
+          derived' := Instance.add f !derived'
+        end));
   (!derived', match counts with Some c -> Table c | None -> Keep)
 
 (* ------------------------------------------------------------------ *)

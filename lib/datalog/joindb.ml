@@ -1,6 +1,7 @@
 open Relational
 
-(* The shared join substrate of both evaluation engines.
+(* The join substrate of the evaluation engine and its incremental
+   maintenance.
 
    A [Joindb.t] is a per-predicate view of an instance whose indexes are
    built lazily, one per (arity, bound-position set) actually probed: an
@@ -12,9 +13,8 @@ open Relational
    index for a position set is shared by every probe of the fixpoint.
 
    This module subsumes the seed's duplicated [index]/[term_value]/
-   [ground_atom] machinery from [eval.ml] and [hashjoin.ml]; both engines
-   now differ only in how they drive the probe loop (depth-first
-   continuations vs set-at-a-time binding lists). *)
+   [ground_atom] machinery; [Eval.iter_firings] is the one loop that
+   drives the probes. *)
 
 module Env = Map.Make (String)
 module Smap = Map.Make (String)

@@ -290,6 +290,41 @@ let test_driver_jobs_independent () =
   let render jobs = A.Driver.render_json (A.Driver.run ~jobs files) in
   Alcotest.(check string) "jobs=4 report = jobs=1 report" (render 1) (render 4)
 
+(* A non-ASCII file path survives both machine renderings: the emitter
+   escapes every high byte as [\u00XX] and the parser maps it back. *)
+let test_driver_non_ascii_path () =
+  let path = "r\xc3\xa9seau/\xc3\xbcber.dlog" and source = "O(x,y) :- E(x)." in
+  let reports =
+    [ { A.Driver.path; source; diagnostics = A.Lint.lint_source source } ]
+  in
+  let module J = Observe.Json in
+  let field k j =
+    match J.member k j with
+    | Some v -> v
+    | None -> Alcotest.failf "missing field %s" k
+  in
+  let first = function
+    | J.List (x :: _) -> x
+    | _ -> Alcotest.fail "expected a non-empty list"
+  in
+  let parse text =
+    Alcotest.(check bool) "pure ASCII" true
+      (String.for_all (fun c -> Char.code c < 0x80) text);
+    match J.of_string text with
+    | Ok j -> j
+    | Error msg -> Alcotest.failf "report does not parse: %s" msg
+  in
+  let json = parse (A.Driver.render_json reports) in
+  Alcotest.(check bool) "json file" true
+    (J.equal (J.String path) (field "file" (first (field "files" json))));
+  let sarif = parse (A.Driver.render_sarif reports) in
+  let uri =
+    first (field "results" (first (field "runs" sarif)))
+    |> field "locations" |> first |> field "physicalLocation"
+    |> field "artifactLocation" |> field "uri"
+  in
+  Alcotest.(check bool) "sarif uri" true (J.equal (J.String path) uri)
+
 (* ------------------------------------------------------------------ *)
 
 let qcheck_cases = List.map QCheck_alcotest.to_alcotest [ prop_wall_random ]
@@ -328,6 +363,8 @@ let () =
         [
           Alcotest.test_case "jobs-independent" `Quick
             test_driver_jobs_independent;
+          Alcotest.test_case "non-ASCII path round-trips" `Quick
+            test_driver_non_ascii_path;
         ] );
       ("properties", qcheck_cases);
     ]

@@ -240,7 +240,7 @@ let test_eval_tc_cycle () =
 
 let test_naive_equals_seminaive_tc () =
   let i = inst [ edge 1 2; edge 2 3; edge 3 1; edge 3 4; edge 5 5 ] in
-  Alcotest.check instance_testable "naive = seminaive" (Eval.naive tc i)
+  Alcotest.check instance_testable "naive = seminaive" (Refeval.naive tc i)
     (Eval.seminaive tc i)
 
 let test_eval_ineq () =
@@ -332,94 +332,42 @@ let test_reorder_preserves_semantics () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Goal-directed evaluation *)
-
-let two_part_program =
-  Parser.parse_program
-    "T(x,y) :- E(x,y). T(x,z) :- T(x,y), E(y,z).\n\
-     S(x,y) :- F(x,y). S(x,z) :- S(x,y), F(y,z)."
-
-let test_goal_slice () =
-  let sliced = Goal.slice two_part_program "T" in
-  check_int "only T rules" 2 (List.length sliced);
-  check_bool "T relevant" true
-    (List.mem "T" (Goal.relevant_predicates two_part_program "T"));
-  check_bool "E relevant" true
-    (List.mem "E" (Goal.relevant_predicates two_part_program "T"));
-  check_bool "S not relevant" false
-    (List.mem "S" (Goal.relevant_predicates two_part_program "T"))
-
-let test_goal_matches () =
-  let goal = Parser.parse_rule "G(x) :- T(1, x)." in
-  let pattern = List.hd goal.Ast.pos in
-  check_bool "matches" true (Goal.matches pattern (fact "T" [ 1; 5 ]));
-  check_bool "constant mismatch" false (Goal.matches pattern (fact "T" [ 2; 5 ]));
-  let rep = Ast.atom "T" [ Ast.Var "x"; Ast.Var "x" ] in
-  check_bool "repeated var match" true (Goal.matches rep (fact "T" [ 3; 3 ]));
-  check_bool "repeated var mismatch" false (Goal.matches rep (fact "T" [ 3; 4 ]))
-
-let test_goal_query () =
-  let i = inst [ edge 1 2; edge 2 3; Fact.make "F" [ Value.int 7; Value.int 8 ] ] in
-  let goal = Ast.atom "T" [ Ast.Const (Value.Int 1); Ast.Var "y" ] in
-  match Goal.query two_part_program i ~goal with
-  | Error e -> Alcotest.fail e
-  | Ok out ->
-    Alcotest.check instance_testable "paths from 1"
-      (inst [ fact "T" [ 1; 2 ]; fact "T" [ 1; 3 ] ])
-      out
-
-let test_goal_agrees_with_full () =
-  let i = inst [ edge 1 2; edge 2 3; edge 3 1 ] in
-  let goal = Ast.atom "T" [ Ast.Var "x"; Ast.Var "y" ] in
-  match Goal.query two_part_program i ~goal with
-  | Error e -> Alcotest.fail e
-  | Ok out ->
-    Alcotest.check instance_testable "full T extent"
-      (Instance.restrict_rels (Eval.stratified_exn two_part_program i) [ "T" ])
-      out
-
-(* ------------------------------------------------------------------ *)
-(* Hash-join backend *)
-
-let test_hashjoin_tc () =
-  let i = path 4 in
-  Alcotest.check instance_testable "agrees with Eval on TC"
-    (Eval.seminaive tc i) (Hashjoin.seminaive tc i)
-
-let test_hashjoin_repeated_vars () =
-  let p = Parser.parse_program "O(x) :- E(x,x)." in
-  let i = inst [ edge 1 1; edge 1 2; edge 3 3 ] in
-  Alcotest.check instance_testable "self loops"
-    (Instance.restrict_rels (Eval.seminaive p i) [ "O" ])
-    (Instance.restrict_rels (Hashjoin.seminaive p i) [ "O" ])
-
-let test_hashjoin_constants_and_ineq () =
-  let p = Parser.parse_program "O(y,z) :- E(1,y), E(y,z), y != z." in
-  let i = inst [ edge 1 2; edge 2 3; edge 2 2; edge 4 5 ] in
-  Alcotest.check instance_testable "constants + inequality"
-    (Eval.seminaive p i) (Hashjoin.seminaive p i)
-
-let test_hashjoin_stratified () =
-  let p = Adom.augment (Parser.parse_program comp_tc_src) in
-  let i = inst [ edge 1 2; edge 2 3 ] in
-  match (Eval.stratified p i, Hashjoin.stratified p i) with
-  | Ok a, Ok b -> Alcotest.check instance_testable "stratified agreement" a b
-  | _ -> Alcotest.fail "stratification failed"
-
-let test_hashjoin_invention () =
-  let p = Parser.parse_program "R(*, x, y) :- E(x, y). O(x) :- R(t, x, y)." in
-  let i = inst [ edge 1 2 ] in
-  Alcotest.check instance_testable "invention through hash join"
-    (Eval.seminaive p i) (Hashjoin.seminaive p i)
-
-(* ------------------------------------------------------------------ *)
 (* Reference engine (the preserved seed nested-loop evaluator) *)
 
 let cycle n = inst (List.init n (fun i -> edge i ((i + 1) mod n)))
 
+(* Directed join shapes, each checked indexed = reference: recursion,
+   a repeated variable, constants with an inequality, a stratified
+   program over negation, and value invention. *)
+let refeval_cases =
+  [
+    ("tc", tc, path 4);
+    ( "repeated vars",
+      Parser.parse_program "O(x) :- E(x,x).",
+      inst [ edge 1 1; edge 1 2; edge 3 3 ] );
+    ( "constants + ineq",
+      Parser.parse_program "O(y,z) :- E(1,y), E(y,z), y != z.",
+      inst [ edge 1 2; edge 2 3; edge 2 2; edge 4 5 ] );
+    ( "stratified",
+      Adom.augment (Parser.parse_program comp_tc_src),
+      inst [ edge 1 2; edge 2 3 ] );
+    ( "invention",
+      Parser.parse_program "R(*, x, y) :- E(x, y). O(x) :- R(t, x, y).",
+      inst [ edge 1 2 ] );
+  ]
+
+let check_refeval_agrees name p i =
+  match (Refeval.stratified p i, Eval.stratified p i) with
+  | Ok reference, Ok indexed ->
+    Alcotest.check instance_testable (name ^ ": indexed = reference")
+      reference indexed
+  | Error e, _ | _, Error e -> Alcotest.fail e
+
+let test_refeval_case (name, p, i) () = check_refeval_agrees name p i
+
 let test_refeval_zoo_agreement () =
-  (* The indexed engine and the hash-join engine against the frozen seed
-     engine, across the zoo's stratifiable programs and graph shapes. *)
+  (* The indexed engine against the frozen seed engine, across the zoo's
+     stratifiable programs and graph shapes. *)
   let graphs =
     [
       path 4;
@@ -437,28 +385,15 @@ let test_refeval_zoo_agreement () =
     ]
   in
   List.iter
-    (fun (name, p) ->
-      List.iter
-        (fun i ->
-          match (Refeval.stratified p i, Eval.stratified p i) with
-          | Ok reference, Ok indexed ->
-            Alcotest.check instance_testable (name ^ ": indexed = reference")
-              reference indexed;
-            (match Hashjoin.stratified p i with
-            | Ok hj ->
-              Alcotest.check instance_testable (name ^ ": hashjoin = reference")
-                reference hj
-            | Error e -> Alcotest.fail e)
-          | Error e, _ | _, Error e -> Alcotest.fail e)
-        graphs)
+    (fun (name, p) -> List.iter (check_refeval_agrees name p) graphs)
     programs
 
 let test_refeval_naive_seminaive () =
   let i = path 5 in
   Alcotest.check instance_testable "reference naive = reference seminaive"
     (Refeval.naive tc i) (Refeval.seminaive tc i);
-  Alcotest.check instance_testable "reference naive = indexed naive"
-    (Refeval.naive tc i) (Eval.naive tc i)
+  Alcotest.check instance_testable "reference naive = indexed seminaive"
+    (Refeval.naive tc i) (Eval.seminaive tc i)
 
 (* ------------------------------------------------------------------ *)
 (* Well-founded semantics *)
@@ -812,7 +747,7 @@ let gen_graph max_nodes max_edges =
 let prop_naive_eq_seminaive_tc =
   QCheck2.Test.make ~name:"naive = seminaive on TC" ~count:100
     (gen_graph 7 14) (fun i ->
-      Instance.equal (Eval.naive tc i) (Eval.seminaive tc i))
+      Instance.equal (Refeval.naive tc i) (Eval.seminaive tc i))
 
 let prop_naive_eq_seminaive_sp =
   let p =
@@ -828,7 +763,7 @@ let prop_naive_eq_seminaive_sp =
       | Ok { strata; _ } ->
         let run eval = List.fold_left (fun acc s -> eval s acc) i strata in
         Instance.equal
-          (run (fun s acc -> Eval.naive s acc))
+          (run (fun s acc -> Refeval.naive s acc))
           (run (fun s acc -> Eval.seminaive s acc)))
 
 let prop_tc_idempotent =
@@ -909,33 +844,10 @@ let prop_parser_roundtrip =
             let p' = Parser.parse_program (Ast.to_string p) in
             Ast.equal_program p p')))
 
-let prop_hashjoin_agrees =
-  QCheck2.Test.make ~name:"hash join = nested loop on random programs"
-    ~count:150
-    (QCheck2.Gen.pair
-       (QCheck2.Gen.list_size (QCheck2.Gen.int_range 1 4) gen_rule)
-       (QCheck2.Gen.list_size (QCheck2.Gen.int_range 0 10)
-          (QCheck2.Gen.pair (QCheck2.Gen.int_range 0 4)
-             (QCheck2.Gen.int_range 0 4))))
-    (fun (p, pairs) ->
-      match Ast.schema_of p with
-      | exception Invalid_argument _ -> QCheck2.assume_fail ()
-      | _ ->
-        if List.exists (fun r -> Result.is_error (Ast.check_rule r)) p then
-          QCheck2.assume_fail ()
-        else
-          let i =
-            Instance.union
-              (inst (List.map (fun (a, b) -> fact "A" [ a; b ]) pairs))
-              (inst (List.map (fun (a, b) -> fact "B" [ b; a ]) pairs))
-          in
-          Instance.equal (Eval.seminaive p i) (Hashjoin.seminaive p i))
-
 (* The equivalence wall for the indexed engine: the seed's nested-loop
    evaluator is preserved verbatim as [Refeval]; random programs must
    evaluate identically through the reference naive fixpoint, the
-   reference seminaive fixpoint, the indexed seminaive engine and the
-   hash-join engine. *)
+   reference seminaive fixpoint and the indexed seminaive engine. *)
 let prop_refeval_agrees =
   QCheck2.Test.make ~name:"indexed engine = reference engine (random programs)"
     ~count:300
@@ -958,8 +870,7 @@ let prop_refeval_agrees =
           in
           let reference = Refeval.naive p i in
           Instance.equal reference (Refeval.seminaive p i)
-          && Instance.equal reference (Eval.seminaive p i)
-          && Instance.equal reference (Hashjoin.seminaive p i))
+          && Instance.equal reference (Eval.seminaive p i))
 
 let prop_stratified_genericity =
   let p = Program.parse comp_tc_src in
@@ -1143,7 +1054,6 @@ let qcheck_cases =
       prop_wf_total_on_stratifiable;
       prop_wf_winmove_partition;
       prop_parser_roundtrip;
-      prop_hashjoin_agrees;
       prop_refeval_agrees;
       prop_stratified_genericity;
       prop_ivm_zoo_sequences;
@@ -1200,28 +1110,16 @@ let () =
           Alcotest.test_case "reorder preserves semantics" `Quick
             test_reorder_preserves_semantics;
         ] );
-      ( "goal",
-        [
-          Alcotest.test_case "slice" `Quick test_goal_slice;
-          Alcotest.test_case "matches" `Quick test_goal_matches;
-          Alcotest.test_case "query" `Quick test_goal_query;
-          Alcotest.test_case "agrees with full" `Quick test_goal_agrees_with_full;
-        ] );
-      ( "hashjoin",
-        [
-          Alcotest.test_case "tc" `Quick test_hashjoin_tc;
-          Alcotest.test_case "repeated vars" `Quick test_hashjoin_repeated_vars;
-          Alcotest.test_case "constants + ineq" `Quick
-            test_hashjoin_constants_and_ineq;
-          Alcotest.test_case "stratified" `Quick test_hashjoin_stratified;
-          Alcotest.test_case "invention" `Quick test_hashjoin_invention;
-        ] );
       ( "refeval",
         [
           Alcotest.test_case "zoo agreement" `Quick test_refeval_zoo_agreement;
           Alcotest.test_case "naive = seminaive" `Quick
             test_refeval_naive_seminaive;
-        ] );
+        ]
+        @ List.map
+            (fun ((name, _, _) as case) ->
+              Alcotest.test_case name `Quick (test_refeval_case case))
+            refeval_cases );
       ( "wellfounded",
         [
           Alcotest.test_case "chain" `Quick test_wf_simple_chain;
