@@ -17,90 +17,41 @@ open Calm_core
 
 let quick = Array.exists (fun a -> a = "--quick") Sys.argv
 
-let jobs =
+(* The argument after the first [name] on the command line, if any. *)
+let flag_value name =
   let rec find i =
-    if i >= Array.length Sys.argv then Parallel.Pool.default_jobs ()
-    else if Sys.argv.(i) = "--jobs" && i + 1 < Array.length Sys.argv then
-      match int_of_string_opt Sys.argv.(i + 1) with
-      | Some n when n >= 1 -> n
-      | _ -> Parallel.Pool.default_jobs ()
+    if i + 1 >= Array.length Sys.argv then None
+    else if Sys.argv.(i) = name then Some Sys.argv.(i + 1)
     else find (i + 1)
   in
   find 1
 
-let json_out =
-  let rec find i =
-    if i >= Array.length Sys.argv then None
-    else if Sys.argv.(i) = "--json" && i + 1 < Array.length Sys.argv then
-      Some Sys.argv.(i + 1)
-    else find (i + 1)
-  in
-  find 1
+let jobs =
+  match Option.bind (flag_value "--jobs") int_of_string_opt with
+  | Some n when n >= 1 -> n
+  | _ -> Parallel.Pool.default_jobs ()
+
+let json_out = flag_value "--json"
 
 (* --json trajectory: per experiment, wall-clock plus the stable metric
    rows the run recorded into the root collector (reset per experiment,
    so each entry is self-contained). *)
-let recorded : (string * float * Observe.Metrics.row list) list ref = ref []
+let recorded : Observe.Report.experiment list ref = ref []
+
+(* [f ()] and its wall-clock seconds. *)
+let time f =
+  let t0 = Unix.gettimeofday () in
+  let r = f () in
+  (r, Unix.gettimeofday () -. t0)
 
 let experiment id f =
   Observe.Metrics.reset Observe.Metrics.root;
-  let t0 = Unix.gettimeofday () in
-  f ();
-  let wall = Unix.gettimeofday () -. t0 in
+  let (), wall_s = time f in
   recorded :=
-    (id, wall, Observe.Metrics.snapshot ~stable_only:true Observe.Metrics.root)
+    Observe.Report.experiment_of_rows ~id ~wall_s
+      (Observe.Metrics.snapshot ~stable_only:true Observe.Metrics.root)
     :: !recorded;
   print_newline ()
-
-let metrics_json rows =
-  let open Observe in
-  Json.Obj
-    (List.map
-       (fun (r : Metrics.row) ->
-         let key =
-           match r.labels with
-           | [] -> r.name
-           | ls ->
-             r.name ^ "{"
-             ^ String.concat ","
-                 (List.map (fun (k, v) -> k ^ "=" ^ v) ls)
-             ^ "}"
-         in
-         let value =
-           match r.kind with
-           | Metrics.Counter -> Json.Int r.count
-           | Metrics.Gauge -> Json.Float r.last
-           | Metrics.Histogram | Metrics.Timing -> Json.Float r.sum
-         in
-         (key, value))
-       rows)
-
-let emit_json file =
-  let open Observe in
-  let experiments = List.rev !recorded in
-  let doc =
-    Json.Obj
-      [
-        ("schema", Json.String "calm-bench/v1");
-        ("quick", Json.Bool quick);
-        ("jobs", Json.Int jobs);
-        ( "experiments",
-          Json.List
-            (List.map
-               (fun (id, wall, rows) ->
-                 Json.Obj
-                   [
-                     ("id", Json.String id);
-                     ("wall_s", Json.Float wall);
-                     ("metrics", metrics_json rows);
-                   ])
-               experiments) );
-      ]
-  in
-  let oc = open_out file in
-  output_string oc (Json.to_string_pretty doc ^ "\n");
-  close_out oc;
-  Printf.printf "wrote %s\n" file
 
 let violated = Checker.is_violation
 
@@ -1032,11 +983,6 @@ let e23_parallel_speedup () =
            (if Parallel.Pool.default_jobs () = 1 then "" else "s"))
       ~columns:[ "workload"; "seq (s)"; "par (s)"; "speedup"; "agree" ]
   in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   let row name ~seq ~par ~agree =
     let r1, t1 = time seq in
     let r2, t2 = time par in
@@ -1107,11 +1053,6 @@ let e24_engine_ablation () =
         "E24 / ablation: indexed joins + cross-probe cache vs the seed \
          engine (same verdicts, same certificates)"
       ~columns:[ "workload"; "seed (s)"; "optimized (s)"; "speedup"; "agree" ]
-  in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
   in
   let row name ~seed ~opt ~agree =
     let r1, t1 = time seed in
@@ -1260,11 +1201,6 @@ let e26_fault_overhead () =
   let transducer = Strategies.Broadcast.transducer query in
   let input = Graph_gen.erdos_renyi ~seed:26 ~nodes:8 ~edges:12 in
   let expected = Query.apply query input in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, (Unix.gettimeofday () -. t0) *. 1000.)
-  in
   let counter name =
     match
       List.find_opt
@@ -1311,20 +1247,18 @@ let e26_fault_overhead () =
             Network.Run.run ~variant:Network.Config.oblivious ~policy
               ~transducer ~input sched
           in
-          let _, base_ms = time (go base) in
+          let _, base_s = time (go base) in
           let d0 = counter "network.dup_deliveries" in
           let l0 = counter "network.dropped" in
           let c0 = counter "network.crashes" in
-          let rf, faulty_ms =
-            time (go (Network.Run.Faulty { base; plan }))
-          in
+          let rf, faulty_s = time (go (Network.Run.Faulty { base; plan })) in
           Report.add_row t
             [
               sname;
               string_of_int n;
-              Printf.sprintf "%.1f" base_ms;
-              Printf.sprintf "%.1f" faulty_ms;
-              Printf.sprintf "%.2fx" (faulty_ms /. Float.max base_ms 0.01);
+              Printf.sprintf "%.1f" (base_s *. 1000.);
+              Printf.sprintf "%.1f" (faulty_s *. 1000.);
+              Printf.sprintf "%.2fx" (faulty_s /. Float.max base_s 1e-5);
               string_of_int rf.Network.Run.messages_sent;
               Printf.sprintf "%d/%d/%d"
                 (counter "network.dup_deliveries" - d0)
@@ -1449,11 +1383,6 @@ let e28_ivm_ablation () =
           "agree";
         ]
   in
-  let time f =
-    let t0 = Unix.gettimeofday () in
-    let r = f () in
-    (r, Unix.gettimeofday () -. t0)
-  in
   let outcome_agree a b =
     match (a, b) with
     | Checker.No_violation { pairs = p }, Checker.No_violation { pairs = p' }
@@ -1526,12 +1455,7 @@ let e29_telemetry_overhead () =
   in
   let repeats = if quick then 3 else 5 in
   let median_ms f =
-    let walls =
-      List.init repeats (fun _ ->
-          let t0 = Unix.gettimeofday () in
-          ignore (f ());
-          (Unix.gettimeofday () -. t0) *. 1000.)
-    in
+    let walls = List.init repeats (fun _ -> snd (time f) *. 1000.) in
     List.nth (List.sort compare walls) (repeats / 2)
   in
   let bounds =
@@ -1716,5 +1640,15 @@ let () =
   experiment "E28" e28_ivm_ablation;
   experiment "E29" e29_telemetry_overhead;
   experiment "bechamel" bechamel_section;
-  (match json_out with Some file -> emit_json file | None -> ());
+  Option.iter
+    (fun path ->
+      let doc =
+        Observe.Report.bench_to_json
+          { path; quick; jobs; experiments = List.rev !recorded }
+      in
+      let oc = open_out path in
+      output_string oc (Observe.Json.to_string_pretty doc ^ "\n");
+      close_out oc;
+      Printf.printf "wrote %s\n" path)
+    json_out;
   print_endline "\nall experiment tables printed."

@@ -30,37 +30,38 @@ open Cmdliner
 (* ------------------------------------------------------------------ *)
 (* Shared argument plumbing *)
 
+(* Bad input ends the command: the message on stderr, exit 1. *)
+let fail fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit 1) fmt
+
+(* A Sys_error from opening a file names it; one from reading or writing
+   does not. *)
+let io_error f msg =
+  if String.starts_with ~prefix:(f ^ ": ") msg then msg else f ^ ": " ^ msg
+
 let read_file f =
-  let ic = open_in f in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+  try In_channel.with_open_bin f In_channel.input_all
+  with Sys_error msg -> fail "%s" (io_error f msg)
 
-let program_src_term =
-  let program =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "program"; "p" ] ~docv:"RULES" ~doc:"Program text.")
-  in
-  let file =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "file"; "f" ] ~docv:"FILE" ~doc:"Program file.")
-  in
-  let combine program file =
-    match (program, file) with
-    | Some s, None -> `Ok s
-    | None, Some f -> `Ok (read_file f)
-    | None, None -> `Error (false, "one of --program or --file is required")
-    | Some _, Some _ -> `Error (false, "give only one of --program, --file")
-  in
-  Term.(ret (const combine $ program $ file))
+(* Set once an artifact write has failed; the command still finishes
+   (and still attempts its other artifacts), then exits 1. *)
+let write_failed = ref false
 
-(* Like [program_src_term], but the source may be absent (commands with a
-   --fixture mode validate its presence themselves). *)
+let write_file f s =
+  try
+    let oc = open_out f in
+    Fun.protect
+      ~finally:(fun () -> close_out_noerr oc)
+      (fun () ->
+        output_string oc s;
+        close_out oc)
+  with Sys_error msg ->
+    prerr_endline (io_error f msg);
+    write_failed := true
+
+let write_json f j = write_file f (Observe.Json.to_string_pretty j ^ "\n")
+
+(* The source may be absent: commands with a --fixture mode check its
+   presence themselves. *)
 let program_src_opt_term =
   let program =
     Arg.(
@@ -82,6 +83,13 @@ let program_src_opt_term =
     | Some _, Some _ -> `Error (false, "give only one of --program, --file")
   in
   Term.(ret (const combine $ program $ file))
+
+let program_src_term =
+  let required = function
+    | Some s -> `Ok s
+    | None -> `Error (false, "one of --program or --file is required")
+  in
+  Term.(ret (const required $ program_src_opt_term))
 
 let outputs_term =
   Arg.(
@@ -124,12 +132,17 @@ let facts_file_term =
     & opt (some file) None
     & info [ "facts-file" ] ~docv:"FILE" ~doc:"File of input facts.")
 
+(* The one fact parser, behind --facts, --facts-file and explain --fact. *)
+let parse_fact s =
+  try Fact.of_string s
+  with Invalid_argument msg | Failure msg -> fail "bad fact %S: %s" s msg
+
 let parse_facts s =
   s
   |> String.split_on_char '.'
   |> List.filter_map (fun part ->
          let part = String.trim part in
-         if part = "" then None else Some (Fact.of_string part))
+         if part = "" then None else Some (parse_fact part))
   |> Instance.of_list
 
 let default_input schema =
@@ -144,32 +157,30 @@ let default_input schema =
     Instance.empty
     (Schema.relations schema)
 
-let resolve_input schema facts facts_file =
+let resolve_input program facts facts_file =
   match (facts, facts_file) with
   | Some s, _ -> parse_facts s
   | None, Some f -> parse_facts (read_file f)
-  | None, None -> default_input schema
+  | None, None -> default_input (Datalog.Program.input_schema program)
+
+(* The one handler for unparseable or invalid programs. *)
+let or_bad_program parse =
+  try parse () with
+  | Datalog.Parser.Syntax_error { line; col; message } ->
+    fail "syntax error (line %d, column %d): %s" line col message
+  | Invalid_argument msg -> fail "invalid program: %s" msg
 
 let load_program ~outputs ~semantics src =
-  try Datalog.Program.parse ~outputs ~semantics src with
-  | Datalog.Parser.Syntax_error { line; col; message } ->
-    Printf.eprintf "syntax error (line %d, column %d): %s\n" line col message;
-    exit 1
-  | Invalid_argument msg ->
-    Printf.eprintf "invalid program: %s\n" msg;
-    exit 1
+  or_bad_program (fun () -> Datalog.Program.parse ~outputs ~semantics src)
 
 (* Like {!load_program} but falls back to the well-founded semantics for
    unstratifiable programs (win-move!). *)
 let load_program_any ~outputs src =
-  match Datalog.Program.parse ~outputs ~semantics:Datalog.Program.Stratified src with
-  | p -> p
-  | exception Invalid_argument _ ->
-    Printf.eprintf "(not stratifiable; using well-founded semantics)\n";
-    load_program ~outputs ~semantics:Datalog.Program.Well_founded src
-  | exception Datalog.Parser.Syntax_error { line; col; message } ->
-    Printf.eprintf "syntax error (line %d, column %d): %s\n" line col message;
-    exit 1
+  or_bad_program @@ fun () ->
+  try Datalog.Program.parse ~outputs ~semantics:Datalog.Program.Stratified src
+  with Invalid_argument _ ->
+    prerr_endline "(not stratifiable; using well-founded semantics)";
+    Datalog.Program.parse ~outputs ~semantics:Datalog.Program.Well_founded src
 
 (* ------------------------------------------------------------------ *)
 (* Observability plumbing: --metrics-out / --trace-out / --profile.
@@ -287,11 +298,6 @@ let obs_term =
     const mk $ metrics_out $ trace_out $ profile $ profile_out
     $ redact_timings $ series_out $ live $ heartbeat)
 
-let write_file f s =
-  let oc = open_out f in
-  output_string oc s;
-  close_out oc
-
 let with_observability obs f =
   Observe.Metrics.reset Observe.Metrics.root;
   if obs.trace_out <> None then Observe.Sink.enable Observe.Sink.default;
@@ -303,35 +309,27 @@ let with_observability obs f =
   end;
   let finish () =
     Observe.Profile.disable ();
-    (if obs.series_out <> None || obs.live then begin
-       Observe.Series.disable ();
-       Observe.Series.set_live 0.;
-       match obs.series_out with
-       | None -> ()
-       | Some file -> write_file file (Observe.Series.to_jsonl Observe.Series.root)
-     end);
-    (match obs.metrics_out with
-    | None -> ()
-    | Some file ->
-      write_file file
-        (Observe.Json.to_string_pretty
-           (Observe.Metrics.to_json Observe.Metrics.root)
-        ^ "\n"));
-    (match obs.trace_out with
-    | None -> ()
-    | Some file ->
-      let events = Observe.Sink.events Observe.Sink.default in
-      Observe.Sink.disable Observe.Sink.default;
-      if Filename.check_suffix file ".jsonl" then
-        write_file file (Observe.Sink.to_jsonl events)
-      else write_file file (Observe.Sink.to_chrome events));
-    (match obs.profile_out with
-    | None -> ()
-    | Some file ->
-      write_file file
-        (Observe.Json.to_string_pretty
-           (Observe.Profile.to_json Observe.Metrics.root)
-        ^ "\n"));
+    if obs.series_out <> None || obs.live then begin
+      Observe.Series.disable ();
+      Observe.Series.set_live 0.;
+      Option.iter
+        (fun f -> write_file f (Observe.Series.to_jsonl Observe.Series.root))
+        obs.series_out
+    end;
+    Option.iter
+      (fun f -> write_json f (Observe.Metrics.to_json Observe.Metrics.root))
+      obs.metrics_out;
+    Option.iter
+      (fun f ->
+        let events = Observe.Sink.events Observe.Sink.default in
+        Observe.Sink.disable Observe.Sink.default;
+        if Filename.check_suffix f ".jsonl" then
+          write_file f (Observe.Sink.to_jsonl events)
+        else write_file f (Observe.Sink.to_chrome events))
+      obs.trace_out;
+    Option.iter
+      (fun f -> write_json f (Observe.Profile.to_json Observe.Metrics.root))
+      obs.profile_out;
     if obs.profile then begin
       Format.printf "%a@?"
         (Observe.Metrics.pp_profile ~redact_timings:obs.redact_timings)
@@ -349,7 +347,7 @@ let with_observability obs f =
 let eval_cmd =
   let run src outputs semantics facts facts_file =
     let program = load_program ~outputs ~semantics src in
-    let input = resolve_input (Datalog.Program.input_schema program) facts facts_file in
+    let input = resolve_input program facts facts_file in
     let out = Datalog.Program.run program input in
     Printf.printf "input  (%d facts): %s\n" (Instance.cardinal input)
       (Instance.to_string input);
@@ -467,105 +465,136 @@ let check_cmd =
 (* ------------------------------------------------------------------ *)
 (* Shared network-command plumbing *)
 
-let compile_or_exit program =
-  try Calm_core.Compile.compile_program program
-  with Invalid_argument msg ->
-    Printf.eprintf "cannot compile: %s\n" msg;
-    exit 1
-
-let default_policy_for compiled network =
-  let schema = compiled.Calm_core.Compile.query.Query.input in
-  if compiled.Calm_core.Compile.domain_guided_only then
-    Network.Policy.hash_value schema network
-  else Network.Policy.hash_fact schema network
+let compile_or_exit compile program =
+  try compile program
+  with Invalid_argument msg -> fail "cannot compile: %s" msg
 
 let make_network nodes =
   Distributed.network_of_ints (List.init (max nodes 1) (fun i -> 1 + i))
 
+(* What every network command builds before it runs: the program (with
+   the well-founded fallback), its input, the program compiled by the
+   command's compiler, and the network. *)
+type setup = {
+  program : Datalog.Program.t;
+  input : Instance.t;
+  compiled : Calm_core.Compile.compiled;
+  network : Distributed.network;
+}
+
+let setup ~compile ~nodes ~outputs src facts facts_file =
+  let program = load_program_any ~outputs src in
+  let input = resolve_input program facts facts_file in
+  let compiled = compile_or_exit compile program in
+  { program; input; compiled; network = make_network nodes }
+
+let input_schema s = s.compiled.Calm_core.Compile.query.Query.input
+
+let default_policy s =
+  if s.compiled.Calm_core.Compile.domain_guided_only then
+    Network.Policy.hash_value (input_schema s) s.network
+  else Network.Policy.hash_fact (input_schema s) s.network
+
+let default_policies s =
+  Network.Netquery.default_policies
+    ~domain_guided_only:s.compiled.Calm_core.Compile.domain_guided_only
+    (input_schema s) s.network
+
 let nodes_term =
   Arg.(value & opt int 3 & info [ "nodes"; "n" ] ~doc:"Network size.")
 
-let scheduler_of nodes seed = function
-  | `Rr -> Network.Run.Round_robin
-  | `Rand -> Network.Run.Random { seed; steps = 50 * nodes }
-  | `Stingy -> Network.Run.Stingy { seed; steps = 80 * nodes }
-  | `Adv -> Network.Run.Adversarial { steps = 50 * nodes }
+(* The flags behind {!setup}. The term yields a thunk, so the work runs
+   inside the command (and inside its observability wrapper). *)
+let setup_term ?(nodes = nodes_term) compile =
+  let mk src outputs facts facts_file nodes () =
+    setup ~compile ~nodes ~outputs src facts facts_file
+  in
+  Term.(
+    const mk $ program_src_term $ outputs_term $ facts_term $ facts_file_term
+    $ nodes)
 
-let scheduler_enum =
-  Arg.enum
-    [
-      ("round-robin", `Rr);
-      ("random", `Rand);
-      ("stingy", `Stingy);
-      ("adversarial", `Adv);
-    ]
+let scheduler_term =
+  let scheduler =
+    Arg.(
+      value
+      & opt
+          (enum
+             [
+               ("round-robin", `Rr);
+               ("random", `Rand);
+               ("stingy", `Stingy);
+               ("adversarial", `Adv);
+             ])
+          `Rr
+      & info [ "scheduler"; "s" ] ~docv:"SCHED"
+          ~doc:"round-robin, random, stingy, or adversarial.")
+  in
+  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Scheduler seed.") in
+  let of_flags nodes seed = function
+    | `Rr -> Network.Run.Round_robin
+    | `Rand -> Network.Run.Random { seed; steps = 50 * nodes }
+    | `Stingy -> Network.Run.Stingy { seed; steps = 80 * nodes }
+    | `Adv -> Network.Run.Adversarial { steps = 50 * nodes }
+  in
+  Term.(const of_flags $ nodes_term $ seed $ scheduler)
 
+(* The parsed --faults plan; a malformed plan exits 1. *)
 let faults_term =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "faults" ] ~docv:"PLAN"
-        ~doc:
-          "Wrap the scheduler(s) in a fault plan: semicolon-separated \
-           clauses seed=S, dup=PxK, loss=P:D, horizon=H, crash=N\\@R, \
-           part=G1|G2\\@R+D (e.g. \
-           'seed=7;dup=0.4x3;loss=0.25:2;crash=2\\@4;part=1|2,3\\@2+3'), \
-           or 'default' for a representative all-faults plan. Faulty \
-           runs are deterministic from the seed; quiescence additionally \
-           requires every fault to have struck and healed.")
-
-let faults_of_flag = function
-  | None -> None
-  | Some "default" -> Some Network.Fault.default
-  | Some s -> (
-    match Network.Fault.of_string s with
-    | Ok plan -> Some plan
-    | Error msg ->
-      Printf.eprintf "%s\n" msg;
-      exit 1)
+  let plan =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "faults" ] ~docv:"PLAN"
+          ~doc:
+            "Wrap the scheduler(s) in a fault plan: semicolon-separated \
+             clauses seed=S, dup=PxK, loss=P:D, horizon=H, crash=N\\@R, \
+             part=G1|G2\\@R+D (e.g. \
+             'seed=7;dup=0.4x3;loss=0.25:2;crash=2\\@4;part=1|2,3\\@2+3'), \
+             or 'default' for a representative all-faults plan. Faulty \
+             runs are deterministic from the seed; quiescence additionally \
+             requires every fault to have struck and healed.")
+  in
+  let parse = function
+    | None -> None
+    | Some "default" -> Some Network.Fault.default
+    | Some s -> (
+      match Network.Fault.of_string s with
+      | Ok plan -> Some plan
+      | Error msg -> fail "%s" msg)
+  in
+  Term.(const parse $ plan)
 
 let with_faults faults sched =
   match faults with
   | None -> sched
   | Some plan -> Network.Run.Faulty { base = sched; plan }
 
-let faulty_schedulers plan schedulers =
+(* The default scheduler battery, each wrapped in the fault plan if any. *)
+let battery faults =
+  let suffix = if Option.is_some faults then "+faults" else "" in
   List.map
-    (fun (sname, sched) ->
-      (sname ^ "+faults", Network.Run.Faulty { base = sched; plan }))
-    schedulers
+    (fun (sname, sched) -> (sname ^ suffix, with_faults faults sched))
+    Network.Netquery.default_schedulers
 
 (* ------------------------------------------------------------------ *)
 (* calm simulate *)
 
 let simulate_cmd =
-  let scheduler_term =
-    Arg.(
-      value
-      & opt scheduler_enum `Rr
-      & info [ "scheduler"; "s" ] ~docv:"SCHED"
-          ~doc:"round-robin, random, stingy, or adversarial.")
-  in
-  let seed_term =
-    Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Scheduler seed.")
-  in
-  let run src outputs facts facts_file nodes scheduler seed =
-    let program = load_program_any ~outputs src in
-    let input = resolve_input (Datalog.Program.input_schema program) facts facts_file in
-    let compiled = compile_or_exit program in
+  let run setup sched =
+    let s = setup () in
+    let compiled = s.compiled in
     Printf.printf "compiled at level %s (%s strategy)\n"
       (Calm_core.Hierarchy.to_string compiled.Calm_core.Compile.level)
       (Calm_core.Hierarchy.transducer_model compiled.Calm_core.Compile.level);
-    let network = make_network nodes in
-    let policy = default_policy_for compiled network in
-    let sched = scheduler_of nodes seed scheduler in
+    let policy = default_policy s in
     let result =
       Network.Run.run ~variant:compiled.Calm_core.Compile.variant ~policy
-        ~transducer:compiled.Calm_core.Compile.transducer ~input sched
+        ~transducer:compiled.Calm_core.Compile.transducer ~input:s.input sched
     in
-    let expected = Datalog.Program.run program input in
+    let expected = Datalog.Program.run s.program s.input in
     Printf.printf
-      "nodes=%d policy=%s quiesced=%b transitions=%d messages=%d\n" nodes
+      "nodes=%d policy=%s quiesced=%b transitions=%d messages=%d\n"
+      (List.length s.network)
       (Network.Policy.name policy) result.Network.Run.quiesced
       result.Network.Run.transitions result.Network.Run.messages_sent;
     Printf.printf "distributed output matches centralized: %b\n"
@@ -576,7 +605,7 @@ let simulate_cmd =
       Network.Coordination.heartbeat_witness
         ~variant:compiled.Calm_core.Compile.variant
         ~transducer:compiled.Calm_core.Compile.transducer
-        ~query:compiled.Calm_core.Compile.query ~input network
+        ~query:compiled.Calm_core.Compile.query ~input:s.input s.network
     in
     let wall = Unix.gettimeofday () -. t0 in
     match witness with
@@ -593,24 +622,12 @@ let simulate_cmd =
   Cmd.v
     (Cmd.info "simulate"
        ~doc:"compile and run a program on a simulated asynchronous network")
-    Term.(
-      const run $ program_src_term $ outputs_term $ facts_term
-      $ facts_file_term $ nodes_term $ scheduler_term $ seed_term)
+    Term.(const run $ setup_term Calm_core.Compile.compile_program $ scheduler_term)
 
 (* ------------------------------------------------------------------ *)
 (* calm run *)
 
 let run_cmd =
-  let scheduler_term =
-    Arg.(
-      value
-      & opt scheduler_enum `Rr
-      & info [ "scheduler"; "s" ] ~docv:"SCHED"
-          ~doc:"round-robin, random, stingy, or adversarial.")
-  in
-  let seed_term =
-    Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Scheduler seed.")
-  in
   let causal_out_term =
     Arg.(
       value
@@ -641,19 +658,12 @@ let run_cmd =
              track per node on the Lamport time axis, message deliveries \
              as flow arrows (open in Perfetto or chrome://tracing).")
   in
-  let run src outputs facts facts_file nodes scheduler seed faults causal_out
-      causal_dot causal_chrome obs =
+  let run setup sched faults causal_out causal_dot causal_chrome obs =
     with_observability obs @@ fun () ->
-    let program = load_program_any ~outputs src in
-    let input =
-      resolve_input (Datalog.Program.input_schema program) facts facts_file
-    in
-    let compiled = compile_or_exit program in
-    let network = make_network nodes in
-    let policy = default_policy_for compiled network in
-    let sched =
-      with_faults (faults_of_flag faults) (scheduler_of nodes seed scheduler)
-    in
+    let s = setup () in
+    let compiled = s.compiled and network = s.network in
+    let policy = default_policy s in
+    let sched = with_faults faults sched in
     let tracer =
       if causal_out <> None || causal_dot <> None || causal_chrome <> None
       then Some (Network.Trace.collector ())
@@ -663,7 +673,7 @@ let run_cmd =
     let result =
       Network.Run.run ?tracer ~heartbeat:obs.heartbeat
         ~variant:compiled.Calm_core.Compile.variant ~policy
-        ~transducer:compiled.Calm_core.Compile.transducer ~input sched
+        ~transducer:compiled.Calm_core.Compile.transducer ~input:s.input sched
     in
     let wall = Unix.gettimeofday () -. t0 in
     Printf.printf
@@ -703,10 +713,8 @@ let run_cmd =
           (instrumented; see --metrics-out / --trace-out / --profile / \
           --causal-out / --causal-dot / --causal-chrome / --faults)")
     Term.(
-      const run $ program_src_term $ outputs_term $ facts_term
-      $ facts_file_term $ nodes_term $ scheduler_term $ seed_term
-      $ faults_term $ causal_out_term $ causal_dot_term
-      $ causal_chrome_term $ obs_term)
+      const run $ setup_term Calm_core.Compile.compile_program $ scheduler_term $ faults_term
+      $ causal_out_term $ causal_dot_term $ causal_chrome_term $ obs_term)
 
 (* ------------------------------------------------------------------ *)
 (* calm sweep *)
@@ -724,38 +732,23 @@ let sweep_cmd =
              happens-before — so the bytes are identical under any \
              $(b,--jobs).")
   in
-  let run src outputs facts facts_file nodes jobs faults traces_out obs =
+  let run setup jobs faults traces_out obs =
     with_observability obs @@ fun () ->
-    let program = load_program_any ~outputs src in
-    let input =
-      resolve_input (Datalog.Program.input_schema program) facts facts_file
-    in
-    let compiled = compile_or_exit program in
-    let network = make_network nodes in
-    let schema = compiled.Calm_core.Compile.query.Query.input in
-    let policies =
-      Network.Netquery.default_policies
-        ~domain_guided_only:compiled.Calm_core.Compile.domain_guided_only
-        schema network
-    in
-    let schedulers =
-      match faults_of_flag faults with
-      | None -> Network.Netquery.default_schedulers
-      | Some plan -> faulty_schedulers plan Network.Netquery.default_schedulers
-    in
+    let s = setup () in
     let cells =
       List.concat_map
         (fun policy ->
           List.map
             (fun (sname, sched) ->
               (Network.Policy.name policy ^ "/" ^ sname, policy, sched))
-            schedulers)
-        policies
+            (battery faults))
+        (default_policies s)
     in
     let results =
       Network.Run.sweep ~jobs ~heartbeat:obs.heartbeat
-        ~variant:compiled.Calm_core.Compile.variant
-        ~transducer:compiled.Calm_core.Compile.transducer ~input cells
+        ~variant:s.compiled.Calm_core.Compile.variant
+        ~transducer:s.compiled.Calm_core.Compile.transducer ~input:s.input
+        cells
     in
     List.iter
       (fun (label, r, events) ->
@@ -781,33 +774,21 @@ let sweep_cmd =
           in parallel (and optionally under a --faults plan); stable \
           metrics and --traces-out bytes are identical under any --jobs")
     Term.(
-      const run $ program_src_term $ outputs_term $ facts_term
-      $ facts_file_term $ nodes_term $ jobs_term $ faults_term
-      $ traces_out_term $ obs_term)
+      const run $ setup_term Calm_core.Compile.compile_program $ jobs_term $ faults_term $ traces_out_term
+      $ obs_term)
 
 (* ------------------------------------------------------------------ *)
 (* calm netquery *)
 
 let netquery_cmd =
-  let run src outputs facts facts_file nodes jobs obs =
+  let run setup jobs obs =
     with_observability obs @@ fun () ->
-    let program = load_program_any ~outputs src in
-    let input =
-      resolve_input (Datalog.Program.input_schema program) facts facts_file
-    in
-    let compiled = compile_or_exit program in
-    let network = make_network nodes in
-    let schema = compiled.Calm_core.Compile.query.Query.input in
-    let policies =
-      Network.Netquery.default_policies
-        ~domain_guided_only:compiled.Calm_core.Compile.domain_guided_only
-        schema network
-    in
+    let s = setup () in
     let verdict =
-      Network.Netquery.check ~policies ~jobs
-        ~variant:compiled.Calm_core.Compile.variant
-        ~transducer:compiled.Calm_core.Compile.transducer
-        ~query:compiled.Calm_core.Compile.query ~input network
+      Network.Netquery.check ~policies:(default_policies s) ~jobs
+        ~variant:s.compiled.Calm_core.Compile.variant
+        ~transducer:s.compiled.Calm_core.Compile.transducer
+        ~query:s.compiled.Calm_core.Compile.query ~input:s.input s.network
     in
     Printf.printf "expected (%d facts): %s\n"
       (Instance.cardinal verdict.Network.Netquery.expected)
@@ -831,36 +812,12 @@ let netquery_cmd =
        ~doc:
          "check that the compiled network computes the query under every \
           default policy × scheduler combination")
-    Term.(
-      const run $ program_src_term $ outputs_term $ facts_term
-      $ facts_file_term $ nodes_term $ jobs_term $ obs_term)
+    Term.(const run $ setup_term Calm_core.Compile.compile_program $ jobs_term $ obs_term)
 
 (* ------------------------------------------------------------------ *)
 (* calm explain *)
 
-let compile_any_or_exit program =
-  try Calm_core.Compile.compile_program_any program
-  with Invalid_argument msg ->
-    Printf.eprintf "cannot compile: %s\n" msg;
-    exit 1
-
-let parse_fact s =
-  try Fact.of_string s
-  with Invalid_argument msg | Failure msg ->
-    Printf.eprintf "bad fact %S: %s\n" s msg;
-    exit 1
-
 let explain_cmd =
-  let scheduler_term =
-    Arg.(
-      value
-      & opt scheduler_enum `Rr
-      & info [ "scheduler"; "s" ] ~docv:"SCHED"
-          ~doc:"round-robin, random, stingy, or adversarial.")
-  in
-  let seed_term =
-    Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Scheduler seed.")
-  in
   let fact_term =
     Arg.(
       value
@@ -870,21 +827,16 @@ let explain_cmd =
             "The output fact to explain, e.g. 'T(1,3)'. Defaults to every \
              output fact of the run.")
   in
-  let run src outputs facts facts_file nodes scheduler seed faults fact =
-    let program = load_program_any ~outputs src in
-    let input =
-      resolve_input (Datalog.Program.input_schema program) facts facts_file
-    in
-    let compiled = compile_any_or_exit program in
-    let network = make_network nodes in
-    let policy = default_policy_for compiled network in
-    let sched =
-      with_faults (faults_of_flag faults) (scheduler_of nodes seed scheduler)
-    in
+  let run setup sched faults fact =
+    let s = setup () in
+    let compiled = s.compiled in
+    let policy = default_policy s in
+    let sched = with_faults faults sched in
     let tracer = Network.Trace.collector () in
     let result =
       Network.Run.run ~tracer ~variant:compiled.Calm_core.Compile.variant
-        ~policy ~transducer:compiled.Calm_core.Compile.transducer ~input sched
+        ~policy ~transducer:compiled.Calm_core.Compile.transducer
+        ~input:s.input sched
     in
     let events = Network.Trace.events tracer in
     Printf.printf "level=%s policy=%s quiesced=%b transitions=%d\n"
@@ -896,10 +848,7 @@ let explain_cmd =
       | Some s -> [ parse_fact s ]
       | None -> Instance.to_list result.Network.Run.outputs
     in
-    if targets = [] then begin
-      Printf.eprintf "the run produced no output facts to explain\n";
-      exit 1
-    end;
+    if targets = [] then fail "the run produced no output facts to explain";
     let failed = ref false in
     List.iter
       (fun target ->
@@ -911,11 +860,12 @@ let explain_cmd =
         | Some cone ->
           Format.printf "%a@." Network.Provenance.pp cone;
           Printf.printf "  heard-from-all-nodes cut: %b\n"
-            (Network.Provenance.heard_from_all ~network cone);
+            (Network.Provenance.heard_from_all ~network:s.network cone);
           (match
              Network.Provenance.validate
                ~variant:compiled.Calm_core.Compile.variant ~policy
-               ~transducer:compiled.Calm_core.Compile.transducer ~input cone
+               ~transducer:compiled.Calm_core.Compile.transducer
+               ~input:s.input cone
            with
           | Ok () ->
             Printf.printf "  replay: the cone alone reproduces the fact \
@@ -934,9 +884,9 @@ let explain_cmd =
           replaying just the cone (faulty runs replay too: their traces \
           carry the dup/restart annotations)")
     Term.(
-      const run $ program_src_term $ outputs_term $ facts_term
-      $ facts_file_term $ nodes_term $ scheduler_term $ seed_term
-      $ faults_term $ fact_term)
+      const run
+      $ setup_term Calm_core.Compile.compile_program_any
+      $ scheduler_term $ faults_term $ fact_term)
 
 (* ------------------------------------------------------------------ *)
 (* calm detect *)
@@ -973,7 +923,6 @@ let detect_cmd =
     exit (Calm_core.Empirical.exit_code entry)
   in
   let run src outputs facts facts_file nodes jobs scatter fixture faults =
-    let faults = faults_of_flag faults in
     match fixture with
     | Some `Forced ->
       finish (Calm_core.Empirical.forced_disagree ~jobs ?faults ())
@@ -981,37 +930,22 @@ let detect_cmd =
       let src =
         match src with
         | Some s -> s
-        | None ->
-          Printf.eprintf
-            "one of --program, --file or --fixture is required\n";
-          exit 1
+        | None -> fail "one of --program, --file or --fixture is required"
       in
-      let program = load_program_any ~outputs src in
-      let input =
-        resolve_input (Datalog.Program.input_schema program) facts facts_file
+      let s =
+        setup ~compile:Calm_core.Compile.compile_program_any ~nodes ~outputs
+          src facts facts_file
       in
-      let compiled = compile_any_or_exit program in
-      let network = make_network nodes in
-      let schema = compiled.Calm_core.Compile.query.Query.input in
       let policies =
-        let base =
-          Network.Netquery.default_policies
-            ~domain_guided_only:compiled.Calm_core.Compile.domain_guided_only
-            schema network
-        in
         if scatter then
-          base @ [ Calm_core.Empirical.scatter_policy schema network ]
-        else base
-      in
-      let schedulers =
-        Option.map
-          (fun plan ->
-            faulty_schedulers plan Network.Netquery.default_schedulers)
-          faults
+          default_policies s
+          @ [ Calm_core.Empirical.scatter_policy (input_schema s) s.network ]
+        else default_policies s
       in
       finish
-        (Calm_core.Empirical.detect_compiled ~network ~policies ?schedulers
-           ~jobs ~name:"program" ~compiled ~input ())
+        (Calm_core.Empirical.detect_compiled ~network:s.network ~policies
+           ~schedulers:(battery faults) ~jobs ~name:"program"
+           ~compiled:s.compiled ~input:s.input ())
   in
   Cmd.v
     (Cmd.info "detect"
@@ -1025,6 +959,49 @@ let detect_cmd =
       const run $ program_src_opt_term $ outputs_term $ facts_term
       $ facts_file_term $ nodes_term $ jobs_term $ scatter_term
       $ fixture_term $ faults_term)
+
+(* ------------------------------------------------------------------ *)
+(* Artifact I/O *)
+
+let schema_name = function
+  | `Metrics -> "calm-metrics/v1"
+  | `Bench -> "calm-bench/v1"
+  | `Trace -> "trace"
+  | `Causal -> "calm-causal/v1"
+  | `Profile -> "calm-profile/v1"
+  | `Series -> "calm-series/v1"
+
+(* The one artifact reader: [file]'s contents, checked against [kind]'s
+   schema (bench files through {!Observe.Report.load_bench}, which also
+   refuses non-finite walls). A failure exits 1 with "<file>: ...". *)
+let read_artifact kind file =
+  let contents = read_file file in
+  let invalid m =
+    fail "%s: INVALID %s artifact: %s" file (schema_name kind) m
+  in
+  let json validate =
+    match Observe.Json.of_string contents with
+    | Error m -> fail "%s: not valid JSON: %s" file m
+    | Ok j -> Result.iter_error invalid (validate j)
+  in
+  (match kind with
+  | `Bench ->
+    Result.iter_error (fail "%s")
+      (Observe.Report.load_bench ~path:file contents)
+  | `Series ->
+    Result.iter_error invalid
+      (Observe.Schema_check.validate_series_jsonl contents)
+  | `Trace when Filename.check_suffix file ".jsonl" ->
+    Result.iter_error invalid (Observe.Sink.of_jsonl contents)
+  | `Trace -> json Observe.Schema_check.validate_trace
+  | `Metrics -> json Observe.Schema_check.validate_metrics
+  | `Causal -> json Observe.Schema_check.validate_causal
+  | `Profile -> json Observe.Schema_check.validate_profile);
+  contents
+
+let read_bench file =
+  Result.get_ok
+    (Observe.Report.load_bench ~path:file (read_artifact `Bench file))
 
 (* ------------------------------------------------------------------ *)
 (* calm validate *)
@@ -1054,37 +1031,8 @@ let validate_cmd =
       & info [] ~docv:"FILE" ~doc:"The JSON artifact to validate.")
   in
   let run kind file =
-    let contents = read_file file in
-    let result =
-      match kind with
-      | `Trace when Filename.check_suffix file ".jsonl" ->
-        Result.map (fun _ -> ()) (Observe.Sink.of_jsonl contents)
-      | `Series -> Observe.Schema_check.validate_series_jsonl contents
-      | _ -> (
-        match Observe.Json.of_string contents with
-        | Error m -> Error ("not valid JSON: " ^ m)
-        | Ok j -> (
-          match kind with
-          | `Metrics -> Observe.Schema_check.validate_metrics j
-          | `Bench -> Observe.Schema_check.validate_bench j
-          | `Trace -> Observe.Schema_check.validate_trace j
-          | `Causal -> Observe.Schema_check.validate_causal j
-          | `Profile -> Observe.Schema_check.validate_profile j
-          | `Series -> assert false))
-    in
-    match result with
-    | Ok () ->
-      Printf.printf "%s: valid %s artifact\n" file
-        (match kind with
-        | `Metrics -> "calm-metrics/v1"
-        | `Bench -> "calm-bench/v1"
-        | `Trace -> "trace"
-        | `Causal -> "calm-causal/v1"
-        | `Profile -> "calm-profile/v1"
-        | `Series -> "calm-series/v1")
-    | Error m ->
-      Printf.eprintf "%s: INVALID: %s\n" file m;
-      exit 1
+    ignore (read_artifact kind file);
+    Printf.printf "%s: valid %s artifact\n" file (schema_name kind)
   in
   Cmd.v
     (Cmd.info "validate"
@@ -1124,32 +1072,6 @@ let bench_diff_cmd =
       & pos 0 (some file) None
       & info [] ~docv:"FILE" ~doc:"The freshly produced bench --json file.")
   in
-  let load file =
-    match Observe.Json.of_string (read_file file) with
-    | Error m ->
-      Printf.eprintf "%s: not valid JSON: %s\n" file m;
-      exit 1
-    | Ok j -> (
-      match Observe.Schema_check.validate_bench j with
-      | Error m ->
-        Printf.eprintf "%s: INVALID calm-bench/v1 artifact: %s\n" file m;
-        exit 1
-      | Ok () -> j)
-  in
-  let experiments j =
-    match Observe.Json.member "experiments" j with
-    | Some (Observe.Json.List es) ->
-      List.filter_map
-        (fun e ->
-          match
-            (Observe.Json.member "id" e, Observe.Json.member "metrics" e)
-          with
-          | Some (Observe.Json.String id), Some (Observe.Json.Obj ms) ->
-            Some (id, ms)
-          | _ -> None)
-        es
-    | _ -> []
-  in
   let update_term =
     Arg.(
       value & flag
@@ -1167,14 +1089,17 @@ let bench_diff_cmd =
       List.fold_left
         (fun acc b ->
           List.fold_left
-            (fun acc (id, ms) ->
-              (id, (b, ms)) :: List.remove_assoc id acc)
-            acc
-            (experiments (load b)))
+            (fun acc (e : Observe.Report.experiment) ->
+              (e.id, (b, e.metrics)) :: List.remove_assoc e.id acc)
+            acc (read_bench b).experiments)
         [] baselines
     in
     let base = List.rev base in
-    let cur = experiments (load file) in
+    let cur =
+      List.map
+        (fun (e : Observe.Report.experiment) -> (e.id, e.metrics))
+        (read_bench file).experiments
+    in
     let compared = ref 0 in
     let drifts = ref [] in
     List.iter
@@ -1218,14 +1143,16 @@ let bench_diff_cmd =
             "bench-diff: --update requires exactly one --baseline\n";
           exit 1
       in
-      (* Both files already passed calm-bench/v1 validation in [load], so
-         the rewrite can't replace a good baseline with a malformed one. *)
+      (* Both files already passed calm-bench/v1 validation in
+         [read_bench], so the rewrite can't replace a good baseline with a
+         malformed one. *)
       List.iter (fun d -> Printf.printf "  accepting drift: %s\n" d) drifts;
       write_file baseline (read_file file);
-      Printf.printf
-        "bench-diff: baseline %s updated from %s (%d guarded rows, %d had \
-         drifted)\n"
-        baseline file !compared (List.length drifts)
+      if not !write_failed then
+        Printf.printf
+          "bench-diff: baseline %s updated from %s (%d guarded rows, %d \
+           had drifted)\n"
+          baseline file !compared (List.length drifts)
     end
     else
       match drifts with
@@ -1257,9 +1184,7 @@ let bench_diff_cmd =
 let plan_cmd =
   let run src outputs facts facts_file =
     let program = load_program_any ~outputs src in
-    let input =
-      resolve_input (Datalog.Program.input_schema program) facts facts_file
-    in
+    let input = resolve_input program facts facts_file in
     let rules = program.Datalog.Program.rules in
     (* EXPLAIN against the fixpoint, so estimated-vs-actual counts
        reflect the plans under their real extents, recursion included. *)
@@ -1347,11 +1272,7 @@ let profile_cmd =
            (100. *. Observe.Profile.coverage scan)
            scan.Observe.Profile.total_s wall
        | None -> ());
-    Option.iter
-      (fun f ->
-        write_file f
-          (Observe.Json.to_string_pretty (Observe.Profile.to_json root) ^ "\n"))
-      out;
+    Option.iter (fun f -> write_json f (Observe.Profile.to_json root)) out;
     Option.iter (fun f -> write_file f (Observe.Profile.to_folded root)) folded;
     Option.iter
       (fun f ->
@@ -1403,32 +1324,17 @@ let explore_cmd =
       value & opt int 20_000
       & info [ "budget" ] ~doc:"Maximum configurations to explore.")
   in
-  let run src outputs facts facts_file budget jobs =
-    let program = load_program_any ~outputs src in
-    let input =
-      resolve_input (Datalog.Program.input_schema program) facts facts_file
-    in
-    let compiled =
-      try Calm_core.Compile.compile_program program
-      with Invalid_argument msg ->
-        Printf.eprintf "cannot compile: %s\n" msg;
-        exit 1
-    in
-    let network = Distributed.network_of_ints [ 1; 2 ] in
-    let schema = compiled.Calm_core.Compile.query.Query.input in
-    let policy =
-      if compiled.Calm_core.Compile.domain_guided_only then
-        Network.Policy.hash_value schema network
-      else Network.Policy.hash_fact schema network
-    in
+  let run setup budget jobs =
+    let s = setup () in
     Printf.printf
       "model-checking every message order on a 2-node network (budget %d)...\n"
       budget;
     let verdict =
       Network.Explore.check ~max_configs:budget ~jobs
-        ~variant:compiled.Calm_core.Compile.variant ~policy
-        ~transducer:compiled.Calm_core.Compile.transducer
-        ~query:compiled.Calm_core.Compile.query ~input ()
+        ~variant:s.compiled.Calm_core.Compile.variant
+        ~policy:(default_policy s)
+        ~transducer:s.compiled.Calm_core.Compile.transducer
+        ~query:s.compiled.Calm_core.Compile.query ~input:s.input ()
     in
     print_endline (Network.Explore.verdict_to_string verdict)
   in
@@ -1438,8 +1344,9 @@ let explore_cmd =
          "exhaustively verify the compiled strategy under every message \
           order (tiny inputs)")
     Term.(
-      const run $ program_src_term $ outputs_term $ facts_term
-      $ facts_file_term $ budget_term $ jobs_term)
+      const run
+      $ setup_term ~nodes:(const 2) Calm_core.Compile.compile_program
+      $ budget_term $ jobs_term)
 
 (* ------------------------------------------------------------------ *)
 (* calm lint *)
@@ -1517,10 +1424,7 @@ let lint_cmd =
       in
       (match output with
       | None -> print_string rendered
-      | Some f ->
-        let oc = open_out f in
-        output_string oc rendered;
-        close_out oc);
+      | Some f -> write_file f rendered);
       if Analysis.Driver.total Analysis.Diagnostic.Error reports > 0 then
         exit 1
   in
@@ -1539,14 +1443,8 @@ let lint_cmd =
 let certify_cmd =
   let run src =
     let rules =
-      try Datalog.Adom.augment (Datalog.Parser.parse_program src) with
-      | Datalog.Parser.Syntax_error { line; col; message } ->
-        Printf.eprintf "syntax error (line %d, column %d): %s\n" line col
-          message;
-        exit 1
-      | Invalid_argument msg ->
-        Printf.eprintf "invalid program: %s\n" msg;
-        exit 1
+      or_bad_program (fun () ->
+          Datalog.Adom.augment (Datalog.Parser.parse_program src))
     in
     let cert = Analysis.certify rules in
     print_string (Analysis.Certificate.to_string cert);
@@ -1636,73 +1534,37 @@ let report_cmd =
             "Maximum allowed relative wall-clock increase between \
              consecutive files in $(b,--diff) mode (1.0 = doubling).")
   in
-  let load_validated kind validate file =
-    let contents = read_file file in
-    match Observe.Json.of_string contents with
-    | Error m ->
-      Printf.eprintf "%s: not valid JSON: %s\n" file m;
-      exit 1
-    | Ok j -> (
-      match validate j with
-      | Error m ->
-        Printf.eprintf "%s: INVALID %s artifact: %s\n" file kind m;
-        exit 1
-      | Ok () -> j)
-  in
   let run files html md series metrics profile diff threshold =
-    let benches =
-      List.map
-        (fun path ->
-          match Observe.Report.load_bench ~path (read_file path) with
-          | Ok b -> b
-          | Error m ->
-            Printf.eprintf "%s\n" m;
-            exit 1)
-        files
-    in
+    let benches = List.map read_bench files in
     if diff then begin
       let regressions, compared = Observe.Report.diff ~threshold benches in
       print_string (Observe.Report.render_diff regressions compared);
       if regressions <> [] then exit 1
     end
     else begin
-      let series_contents =
-        Option.map
-          (fun file ->
-            let contents = read_file file in
-            match Observe.Schema_check.validate_series_jsonl contents with
-            | Ok () -> contents
-            | Error m ->
-              Printf.eprintf "%s: INVALID calm-series/v1 artifact: %s\n"
-                file m;
-              exit 1)
-          series
+      (* Confirm only while every write so far has succeeded. *)
+      let wrote file =
+        if not !write_failed then Printf.printf "report: wrote %s\n" file
       in
-      let metrics_json =
-        Option.map
-          (load_validated "calm-metrics/v1"
-             Observe.Schema_check.validate_metrics)
-          metrics
+      let series_contents = Option.map (read_artifact `Series) series in
+      let read_json kind file =
+        Observe.Json.of_string_exn (read_artifact kind file)
       in
-      let profile_json =
-        Option.map
-          (load_validated "calm-profile/v1"
-             Observe.Schema_check.validate_profile)
-          profile
-      in
+      let metrics_json = Option.map (read_json `Metrics) metrics in
+      let profile_json = Option.map (read_json `Profile) profile in
       (match html with
       | None -> ()
       | Some file ->
         write_file file
           (Observe.Report.html ?series:series_contents ?metrics:metrics_json
              ?profile:profile_json benches);
-        Printf.printf "report: wrote %s\n" file);
+        wrote file);
       let summary = Observe.Report.markdown benches in
       match md with
       | None -> if html = None then print_string summary
       | Some file ->
         write_file file summary;
-        Printf.printf "report: wrote %s\n" file
+        wrote file
     end
   in
   Cmd.v
@@ -1721,12 +1583,14 @@ let report_cmd =
 let () =
   let doc = "weaker forms of monotonicity for declarative networking" in
   let info = Cmd.info "calm" ~version:"1.0.0" ~doc in
-  exit
-    (Cmd.eval
-       (Cmd.group info
-          [
-            eval_cmd; classify_cmd; check_cmd; simulate_cmd; run_cmd;
-            sweep_cmd; netquery_cmd; explain_cmd; detect_cmd; explore_cmd;
-            validate_cmd; bench_diff_cmd; report_cmd; plan_cmd; profile_cmd;
-            graph_cmd; figure2_cmd; lint_cmd; certify_cmd;
-          ]))
+  let code =
+    Cmd.eval
+      (Cmd.group info
+         [
+           eval_cmd; classify_cmd; check_cmd; simulate_cmd; run_cmd;
+           sweep_cmd; netquery_cmd; explain_cmd; detect_cmd; explore_cmd;
+           validate_cmd; bench_diff_cmd; report_cmd; plan_cmd; profile_cmd;
+           graph_cmd; figure2_cmd; lint_cmd; certify_cmd;
+         ])
+  in
+  exit (if code = 0 && !write_failed then 1 else code)

@@ -145,3 +145,7 @@ val pp_profile :
     so the output is reproducible (used by the golden fixture). *)
 
 val kind_to_string : kind -> string
+
+val label_string : (string * string) list -> string
+(** [""] for no labels, otherwise [{k=v,...}] in the given order: the
+    suffix that keys a labelled row in every text and bench rendering. *)

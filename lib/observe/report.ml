@@ -97,6 +97,40 @@ let load_bench ~path contents =
   in
   Ok { path; quick; jobs; experiments }
 
+let experiment_of_rows ~id ~wall_s rows =
+  let value (r : Metrics.row) =
+    match r.kind with
+    | Metrics.Counter -> Json.Int r.count
+    | Metrics.Gauge -> Json.Float r.last
+    | Metrics.Histogram | Metrics.Timing -> Json.Float r.sum
+  in
+  {
+    id;
+    wall_s;
+    metrics =
+      List.map
+        (fun (r : Metrics.row) ->
+          (r.name ^ Metrics.label_string r.labels, value r))
+        rows;
+  }
+
+let bench_to_json b =
+  let entry e =
+    Json.Obj
+      [
+        ("id", Json.String e.id);
+        ("wall_s", Json.Float e.wall_s);
+        ("metrics", Json.Obj e.metrics);
+      ]
+  in
+  Json.Obj
+    [
+      ("schema", Json.String "calm-bench/v1");
+      ("quick", Json.Bool b.quick);
+      ("jobs", Json.Int b.jobs);
+      ("experiments", Json.List (List.map entry b.experiments));
+    ]
+
 let find_experiment b id = List.find_opt (fun e -> e.id = id) b.experiments
 
 (* Union of experiment ids across the history, in order of first

@@ -30,6 +30,17 @@ val load_bench : path:string -> string -> (bench, string) result
     non-finite [wall_s] values (e.g. a crafted ["1e999"], which parses
     to infinity) with a clear error instead of reporting on them. *)
 
+val experiment_of_rows :
+  id:string -> wall_s:float -> Metrics.row list -> experiment
+(** One bench entry from a metrics snapshot: each row keyed by its name
+    and {!Metrics.label_string}, counters as their total, gauges as
+    their last value, histograms and timings as their sum. *)
+
+val bench_to_json : bench -> Json.t
+(** The [calm-bench/v1] document ([path] is not part of it). Printed
+    with {!Json.to_string_pretty} plus a newline, it is the exact text
+    [bench --json] writes, and what {!load_bench} reads back. *)
+
 (** {1 Regression diff} *)
 
 type regression = {

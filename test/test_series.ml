@@ -296,12 +296,25 @@ let gen_wall =
         oneofl [ 0.; 0.1285; 1.5; 1e-300; 1.7e308; 4.2 ];
       ])
 
+(* Export through the writer [bench --json] uses. *)
+let probes_rows =
+  let t = Observe.Metrics.create () in
+  Observe.Metrics.with_current t (fun () ->
+      Observe.Metrics.incr ~by:7 (Observe.Metrics.counter "monotone.probes"));
+  Observe.Metrics.snapshot ~stable_only:true t
+
+let exported_bench wall_s =
+  let e = Observe.Report.experiment_of_rows ~id:"E1" ~wall_s probes_rows in
+  Observe.Json.to_string_pretty
+    (Observe.Report.bench_to_json
+       { path = "gen.json"; quick = true; jobs = 1; experiments = [ e ] })
+  ^ "\n"
+
 let prop_wall_roundtrip =
   QCheck2.Test.make
     ~name:"bench wall_s survives export -> report ingestion bit-exactly"
     ~count:500 gen_wall (fun w ->
-      let doc = bench_doc (Observe.Json.to_string (Observe.Json.Float w)) in
-      match Observe.Report.load_bench ~path:"gen.json" doc with
+      match Observe.Report.load_bench ~path:"gen.json" (exported_bench w) with
       | Error _ -> false
       | Ok b -> (
         match b.Observe.Report.experiments with
@@ -418,6 +431,22 @@ let test_report_diff_trajectory () =
   | rs -> Alcotest.failf "expected exactly one regression, got %d"
             (List.length rs)
 
+(* The committed trajectories are exactly what the exporter writes:
+   reading one and writing it back reproduces the file byte for byte. *)
+let test_bench_writer_roundtrip () =
+  List.iter
+    (fun n ->
+      let path = bench_file n in
+      let contents = read_file path in
+      let b = load_bench_exn path in
+      check_str (n ^ " round-trips") contents
+        (Observe.Json.to_string_pretty (Observe.Report.bench_to_json b)
+        ^ "\n"))
+    [
+      "BENCH_baseline.json"; "BENCH_indexed.json"; "BENCH_ivm.json";
+      "BENCH_series.json";
+    ]
+
 let test_report_renderers () =
   let history =
     List.map
@@ -477,6 +506,8 @@ let () =
         @ [
             Alcotest.test_case "non-finite walls rejected" `Quick
               test_nonfinite_walls_rejected;
+          Alcotest.test_case "committed trajectories re-export byte-exactly"
+            `Quick test_bench_writer_roundtrip;
           ] );
       ( "report",
         [
