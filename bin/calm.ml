@@ -782,30 +782,37 @@ let sweep_cmd =
 
 let netquery_cmd =
   let run setup jobs obs =
-    with_observability obs @@ fun () ->
-    let s = setup () in
-    let verdict =
-      Network.Netquery.check ~policies:(default_policies s) ~jobs
-        ~variant:s.compiled.Calm_core.Compile.variant
-        ~transducer:s.compiled.Calm_core.Compile.transducer
-        ~query:s.compiled.Calm_core.Compile.query ~input:s.input s.network
+    (* As in [check]: exit after the wrapper, so an INCONSISTENT verdict
+       still writes its artifacts. *)
+    let code =
+      with_observability obs @@ fun () ->
+      let s = setup () in
+      let verdict =
+        Network.Netquery.check ~policies:(default_policies s) ~jobs
+          ~variant:s.compiled.Calm_core.Compile.variant
+          ~transducer:s.compiled.Calm_core.Compile.transducer
+          ~query:s.compiled.Calm_core.Compile.query ~input:s.input s.network
+      in
+      Printf.printf "expected (%d facts): %s\n"
+        (Instance.cardinal verdict.Network.Netquery.expected)
+        (Instance.to_string verdict.Network.Netquery.expected);
+      Printf.printf "runs: %d  all quiesced: %b  mismatches: %d\n"
+        (List.length verdict.Network.Netquery.runs)
+        verdict.Network.Netquery.all_quiesced
+        (List.length verdict.Network.Netquery.mismatches);
+      List.iter
+        (fun label -> Printf.printf "  mismatch: %s\n" label)
+        verdict.Network.Netquery.mismatches;
+      if Network.Netquery.consistent verdict then begin
+        print_endline "verdict: the network computes the query on this input";
+        0
+      end
+      else begin
+        print_endline "verdict: INCONSISTENT";
+        2
+      end
     in
-    Printf.printf "expected (%d facts): %s\n"
-      (Instance.cardinal verdict.Network.Netquery.expected)
-      (Instance.to_string verdict.Network.Netquery.expected);
-    Printf.printf "runs: %d  all quiesced: %b  mismatches: %d\n"
-      (List.length verdict.Network.Netquery.runs)
-      verdict.Network.Netquery.all_quiesced
-      (List.length verdict.Network.Netquery.mismatches);
-    List.iter
-      (fun label -> Printf.printf "  mismatch: %s\n" label)
-      verdict.Network.Netquery.mismatches;
-    if Network.Netquery.consistent verdict then
-      print_endline "verdict: the network computes the query on this input"
-    else begin
-      print_endline "verdict: INCONSISTENT";
-      exit 2
-    end
+    if code <> 0 then exit code
   in
   Cmd.v
     (Cmd.info "netquery"

@@ -2,9 +2,7 @@ open Relational
 
 exception Diverged
 
-module Env = Joindb.Env
-
-let default_neg = Joindb.default_neg
+let default_neg j f = not (Instance.mem f j)
 
 (* Telemetry (all stable): where the evaluator's work goes. Counted
    locally per rule activation and committed in one increment, so the hot
@@ -54,27 +52,83 @@ let reorder_body (r : Ast.rule) =
 let optimize p = List.map reorder_body p
 
 (* The one join loop: enumerate the valuations of a plan's positive
-   body with a caller-chosen probe per atom position. [probe i ap key
-   emit] must call [emit] on every candidate fact for atom [i] whose
-   keyed positions equal [key]. Each atom costs one index lookup plus a
-   scan of the facts agreeing with the bindings on its keyed positions.
-   The fixpoint probes the database or Δ and counts; EXPLAIN counts per
-   atom; the IVM layer composes base/overlay databases and membership
-   filters (Δ-only positions, old ∖ removed, the counting partitions).
-   Inequality and negation side conditions stay with the caller, which
-   sees each complete valuation. *)
-let iter_firings ~probe (p : Joindb.plan) k =
-  let n = Array.length p.atoms in
-  let rec go i env =
-    if i = n then k env
-    else
-      let ap : Joindb.atom_plan = p.atoms.(i) in
-      probe i ap (Joindb.key_of_env env ap) (fun f ->
-          match Joindb.extend env ap.slots f with
-          | None -> ()
-          | Some env' -> go (i + 1) env')
-  in
-  go 0 Env.empty
+   body, reading position [at] from [delta], earlier positions from
+   [before] and later ones from [after]. The valuation is one slot array
+   filled and backtracked in place, and the loop state is one record per
+   call: no closure is built per probe or per candidate. Each atom costs
+   one probe: a filter of a small relation, or of one index bucket of a
+   large one. The fixpoint reads the database or Δ; the IVM layer
+   composes base, overlay and Δ stores and the removal filters. With
+   [stats], per-atom lookups, non-empty lookups and candidates are
+   counted. Inequality and negation side conditions stay with the
+   continuation, which sees each complete valuation (valid only during
+   the call). *)
+type stats = { lookups : int array; hits : int array; cands : int array }
+
+let stats n =
+  { lookups = Array.make n 0; hits = Array.make n 0; cands = Array.make n 0 }
+
+type frame = {
+  stats : stats option;
+  at : int;
+  delta : Joindb.source;
+  before : Joindb.source;
+  after : Joindb.source;
+  plan : Joindb.plan;
+  env : Value.t array;
+  k : Joindb.plan -> Value.t array -> unit;
+}
+
+let rec descend fr i =
+  if i = Array.length fr.plan.atoms then fr.k fr.plan fr.env
+  else
+    let ap = fr.plan.atoms.(i) in
+    let src =
+      if i = fr.at then fr.delta else if i < fr.at then fr.before else fr.after
+    in
+    match fr.stats with
+    | None -> parts fr i ap src
+    | Some s ->
+      let before = s.cands.(i) in
+      s.lookups.(i) <- s.lookups.(i) + 1;
+      parts fr i ap src;
+      if s.cands.(i) > before then s.hits.(i) <- s.hits.(i) + 1
+
+and parts fr i ap = function
+  | [] -> ()
+  | Joindb.All db :: rest ->
+    all fr i ap (Joindb.candidates db ap fr.env);
+    parts fr i ap rest
+  | Joindb.Without (db, skip) :: rest ->
+    without fr i ap skip (Joindb.candidates db ap fr.env);
+    parts fr i ap rest
+
+and all fr i ap = function
+  | [] -> ()
+  | f :: rest ->
+    if Joindb.matches ap fr.env f then candidate fr i ap f;
+    all fr i ap rest
+
+and without fr i ap skip = function
+  | [] -> ()
+  | f :: rest ->
+    if Joindb.matches ap fr.env f && not (skip f) then candidate fr i ap f;
+    without fr i ap skip rest
+
+and candidate fr i ap f =
+  (match fr.stats with
+  | Some s -> s.cands.(i) <- s.cands.(i) + 1
+  | None -> ());
+  if Joindb.bind ap fr.env f then descend fr (i + 1)
+
+let iter_delta_firings ?stats ~at ~delta ~before ~after plan k =
+  descend
+    { stats; at; delta; before; after; plan; env = Array.copy plan.init; k }
+    0
+
+let iter_firings ?stats source plan k =
+  iter_delta_firings ?stats ~at:(-1) ~delta:[] ~before:source ~after:source
+    plan k
 
 (* ANALYZE label: one flat string per rule, shared by the profile span
    and the per-rule metric rows. *)
@@ -89,31 +143,22 @@ let rule_label (r : Ast.rule) =
 let derive_plan ~neg ~current ~db ~delta ~which (p : Joindb.plan) acc =
   let profiling = Observe.Profile.is_enabled () in
   let run () =
-    let out = ref acc in
-    let probes = ref 0 and hits = ref 0 and fired = ref 0 in
-    (* Atom [which] probes [delta] instead of the full database. *)
-    let probe i (ap : Joindb.atom_plan) key emit =
-      let source = if Some i = which then delta else db in
-      match
-        Joindb.probe source ap.pred ~arity:ap.arity
-          ~positions:ap.key_positions key
-      with
-      | [] -> ()
-      | candidates ->
-        incr hits;
-        List.iter
-          (fun f ->
-            incr probes;
-            emit f)
-          candidates
-    in
-    iter_firings ~probe p (fun env ->
-        if Joindb.checks_pass current neg env p.rule then begin
+    let out = ref acc and fired = ref 0 in
+    let st = stats (Array.length p.atoms) in
+    let neg = neg current in
+    (* Atom [which] reads [delta] instead of the full database. *)
+    iter_delta_firings ~stats:st
+      ~at:(Option.value which ~default:(-1))
+      ~delta ~before:db ~after:db p
+      (fun p env ->
+        if Joindb.passes p ~neg env then begin
           if profiling then incr fired;
-          out := Instance.add (Joindb.ground_atom env p.rule.head) !out
+          out := Instance.add (Joindb.ground_head p env) !out
         end);
-    if !probes > 0 then Observe.Metrics.incr ~by:!probes m_join_probes;
-    if !hits > 0 then Observe.Metrics.incr ~by:!hits m_index_hits;
+    let sum a = Array.fold_left ( + ) 0 a in
+    let probes = sum st.cands and hits = sum st.hits in
+    if probes > 0 then Observe.Metrics.incr ~by:probes m_join_probes;
+    if hits > 0 then Observe.Metrics.incr ~by:hits m_index_hits;
     (!out, !fired)
   in
   if not profiling then fst (run ())
@@ -141,11 +186,10 @@ let derive_plan ~neg ~current ~db ~delta ~which (p : Joindb.plan) acc =
   end
 
 let derive_plans ?(neg = default_neg) plans j =
-  let db = Joindb.of_instance j in
+  let db = [ Joindb.All (Joindb.of_instance j) ] in
   let out =
     List.fold_left
-      (fun acc p ->
-        derive_plan ~neg ~current:j ~db ~delta:Joindb.empty ~which:None p acc)
+      (fun acc p -> derive_plan ~neg ~current:j ~db ~delta:[] ~which:None p acc)
       Instance.empty plans
   in
   Observe.Metrics.incr ~by:(Instance.cardinal out) m_derived;
@@ -162,10 +206,10 @@ let guard max_facts j =
 (* Semi-naive: after the first full round, every new derivation must match
    at least one positive atom in the delta. Negated predicates are fixed
    during a semi-positive fixpoint, so they take no part in deltas. *)
-let seminaive ?(neg = default_neg) ?max_facts p i =
-  let plans = Joindb.plan_program p in
+let seminaive_plans ?(neg = default_neg) ?max_facts plans i =
   let step db_i delta_i =
-    let db = Joindb.of_instance db_i and delta = Joindb.of_instance delta_i in
+    let db = [ Joindb.All (Joindb.of_instance db_i) ]
+    and delta = [ Joindb.All (Joindb.of_instance delta_i) ] in
     List.fold_left
       (fun acc (p : Joindb.plan) ->
         let n = Array.length p.atoms in
@@ -194,6 +238,9 @@ let seminaive ?(neg = default_neg) ?max_facts p i =
         end
       in
       go i (Instance.diff first i))
+
+let seminaive ?neg ?max_facts p i =
+  seminaive_plans ?neg ?max_facts (Joindb.plan_program p) i
 
 let stratified ?max_facts p i =
   match Stratify.stratify p with
@@ -232,33 +279,25 @@ type rule_report = {
 }
 
 let explain ?(neg = default_neg) p j =
-  let db = Joindb.of_instance j in
+  let db = [ Joindb.All (Joindb.of_instance j) ] in
   let extent_of (ap : Joindb.atom_plan) =
     Instance.fold
       (fun f n ->
         if Fact.rel f = ap.pred && Fact.arity f = ap.arity then n + 1 else n)
       j 0
   in
+  let neg = neg j in
   List.map
     (fun (pl : Joindb.plan) ->
       let n = Array.length pl.atoms in
-      let lookups = Array.make n 0 and cands = Array.make n 0 in
+      let st = stats n in
       let vals = ref 0 and fired = ref 0 in
       let out = ref Instance.empty in
-      let probe i (ap : Joindb.atom_plan) key emit =
-        lookups.(i) <- lookups.(i) + 1;
-        let candidates =
-          Joindb.probe db ap.pred ~arity:ap.arity ~positions:ap.key_positions
-            key
-        in
-        cands.(i) <- cands.(i) + List.length candidates;
-        List.iter emit candidates
-      in
-      iter_firings ~probe pl (fun env ->
+      iter_firings ~stats:st db pl (fun pl env ->
           incr vals;
-          if Joindb.checks_pass j neg env pl.rule then begin
+          if Joindb.passes pl ~neg env then begin
             incr fired;
-            out := Instance.add (Joindb.ground_atom env pl.rule.head) !out
+            out := Instance.add (Joindb.ground_head pl env) !out
           end);
       let atom_reports =
         List.init n (fun i ->
@@ -267,9 +306,9 @@ let explain ?(neg = default_neg) p j =
             {
               atom = ap;
               extent;
-              lookups = lookups.(i);
-              est_candidates = lookups.(i) * extent;
-              candidates = cands.(i);
+              lookups = st.lookups.(i);
+              est_candidates = st.lookups.(i) * extent;
+              candidates = st.cands.(i);
             })
       in
       {

@@ -47,6 +47,13 @@ val seminaive :
     semi-positive programs (tested property).
     @raise Diverged if the fixpoint grows past [max_facts]. *)
 
+val seminaive_plans :
+  ?neg:(Instance.t -> Fact.t -> bool) ->
+  ?max_facts:int ->
+  Joindb.plan list -> Instance.t -> Instance.t
+(** {!seminaive} over rules already compiled by {!Joindb.plan_program}:
+    {!Ivm} compiles a program once and saturates many inputs. *)
+
 val stratified :
   ?max_facts:int -> Ast.program -> Instance.t -> (Instance.t, string) result
 (** Stratified semantics [P_k(...P_1(I)...)]; [Error] if not syntactically
@@ -55,17 +62,36 @@ val stratified :
 val stratified_exn : ?max_facts:int -> Ast.program -> Instance.t -> Instance.t
 (** @raise Invalid_argument if not stratifiable. *)
 
+type stats = {
+  lookups : int array;  (** probes issued, per body atom *)
+  hits : int array;  (** probes that yielded at least one candidate *)
+  cands : int array;  (** candidate facts examined *)
+}
+
+val stats : int -> stats
+(** Zeroed counters for a plan with the given number of body atoms. *)
+
 val iter_firings :
-  probe:
-    (int -> Joindb.atom_plan -> Value.t list -> (Fact.t -> unit) -> unit) ->
-  Joindb.plan -> (Value.t Joindb.Env.t -> unit) -> unit
+  ?stats:stats ->
+  Joindb.source -> Joindb.plan -> (Joindb.plan -> Value.t array -> unit) ->
+  unit
 (** The evaluator's one join loop, shared with {!Ivm}: enumerate
-    complete valuations of a plan's positive body, probing each atom
-    position through a caller-supplied source. [probe i ap key emit] must pass every candidate fact for atom
-    [i] whose keyed positions equal [key] to [emit]; the caller composes
-    base and overlay databases, membership filters, and the counting
-    partitions there. Inequality and negation checks are the caller's
-    responsibility ({!Joindb.checks_pass}). *)
+    complete valuations of a plan's positive body, reading every body
+    position from the source (composed base, overlay and Δ stores with
+    their removal filters). The valuation passed to the continuation is
+    the loop's own slot array, valid only during the call; ground it with
+    {!Joindb.ground_head} and test it with {!Joindb.passes}. *)
+
+val iter_delta_firings :
+  ?stats:stats ->
+  at:int ->
+  delta:Joindb.source ->
+  before:Joindb.source ->
+  after:Joindb.source ->
+  Joindb.plan -> (Joindb.plan -> Value.t array -> unit) -> unit
+(** {!iter_firings} reading body position [at] from [delta], earlier
+    positions from [before] and later ones from [after]: one Δ-position
+    of semi-naive evaluation ([at < 0] reads [after] everywhere). *)
 
 (** {2 EXPLAIN ANALYZE}
 

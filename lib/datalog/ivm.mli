@@ -33,6 +33,18 @@ type t
 val supported : Ast.program -> bool
 (** Stratified semantics only: [Stratify.is_stratifiable]. *)
 
+type compiled
+(** A program stratified and its rules compiled to {!Joindb} plans, once,
+    for any number of handles. Immutable. *)
+
+val compile : Ast.program -> compiled
+(** @raise Invalid_argument if the program is not stratifiable. *)
+
+val start : ?max_facts:int -> compiled -> Instance.t -> t
+(** {!materialize} from a compiled program: the scan compiles once and
+    starts a handle per base.
+    @raise Eval.Diverged past [max_facts]. *)
+
 val materialize : ?max_facts:int -> Ast.program -> Instance.t -> t
 (** Saturate the program over the given input and package the model with
     its support state. Derivation counts are built lazily, on the first

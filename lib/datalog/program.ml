@@ -43,19 +43,22 @@ let run t i =
   Instance.restrict_rels full t.outputs
 
 (* Stratified programs answer the scan's probes incrementally: staging
-   materializes the model of the base once ({!Ivm.materialize}), and
-   each probe is a Δ-seeded apply against the handle's shared indexes.
-   Well-founded programs have no maintenance route and evaluate. *)
+   materializes the model of the base once ({!Ivm.start}, from rules
+   compiled once per query), and each probe is a Δ-seeded apply against
+   the handle's shared stores. The probe returns the whole model;
+   {!Query.stage} only asks it for facts of [expected], which are output
+   facts. Well-founded programs have no maintenance route and
+   evaluate. *)
 let query ~name t =
   let maintain =
     match t.semantics with
     | Well_founded -> None
     | Stratified ->
+      let compiled = Ivm.compile t.rules in
       Some
         (fun base ->
-          let h = Ivm.materialize t.rules base in
-          fun (d : Query.delta) ->
-            Instance.restrict_rels (Ivm.apply_facts h d.Query.facts) t.outputs)
+          let h = Ivm.start compiled base in
+          fun (d : Query.delta) -> Ivm.apply_facts h d.Query.facts)
   in
   Query.make ?maintain ~name ~input:(input_schema t) ~output:(output_schema t)
     (run t)

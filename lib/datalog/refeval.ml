@@ -1,15 +1,18 @@
 open Relational
 
-(* The seed tree's nested-loop engine, preserved verbatim as a reference
-   semantics. The production engines ({!Eval}, {!Hashjoin}) are tested
-   against it on the query zoo and on random programs; the E24 bench
-   measures the indexed engine's speedup relative to it. It keeps the
+(* The seed tree's nested-loop engine, preserved as a reference
+   semantics with its own variable environments. The production engine
+   ({!Eval}, whose join loop {!Ivm} shares) is tested against it on the
+   query zoo and on random programs; the E24 bench measures the indexed
+   engine's speedup relative to it. It keeps the
    seed's per-round predicate index and per-candidate [match_atom] rescan
    — the very pattern the indexed engine replaces — and records no
    metrics, so reference runs leave the [eval.*] counters untouched. *)
 
-module Env = Joindb.Env
+module Env = Map.Make (String)
 module Smap = Map.Make (String)
+
+let default_neg j f = not (Instance.mem f j)
 
 let index i =
   Instance.fold
@@ -41,6 +44,26 @@ let match_atom env (a : Ast.atom) (f : Fact.t) =
     in
     go env 0 a.terms
 
+let term_value env = function
+  | Ast.Const c -> c
+  | Ast.Var v -> (
+    match Env.find_opt v env with
+    | Some c -> c
+    | None -> invalid_arg "Refeval: unbound variable in a checked position")
+
+let ground_atom env (a : Ast.atom) =
+  let args = List.map (term_value env) a.terms in
+  if a.invents then
+    Fact.make a.pred
+      (Value.Skolem (Joindb.skolem_functor a.pred, args) :: args)
+  else Fact.make a.pred args
+
+let checks_pass current neg env (r : Ast.rule) =
+  List.for_all
+    (fun (x, y) -> not (Value.equal (term_value env x) (term_value env y)))
+    r.ineq
+  && List.for_all (fun a -> neg current (ground_atom env a)) r.neg
+
 let rec satisfy_pos db_idx delta_idx which i atoms env k =
   match atoms with
   | [] -> k env
@@ -56,11 +79,11 @@ let rec satisfy_pos db_idx delta_idx which i atoms env k =
 let derive_rule ~neg ~current ~db_idx ~delta_idx ~which (r : Ast.rule) acc =
   let out = ref acc in
   satisfy_pos db_idx delta_idx which 0 r.pos Env.empty (fun env ->
-      if Joindb.checks_pass current neg env r then
-        out := Instance.add (Joindb.ground_atom env r.head) !out);
+      if checks_pass current neg env r then
+        out := Instance.add (ground_atom env r.head) !out);
   !out
 
-let derive ?(neg = Joindb.default_neg) p j =
+let derive ?(neg = default_neg) p j =
   let idx = index j in
   List.fold_left
     (fun acc r ->
@@ -81,7 +104,7 @@ let naive ?neg ?max_facts p i =
   in
   go i
 
-let seminaive ?(neg = Joindb.default_neg) ?max_facts p i =
+let seminaive ?(neg = default_neg) ?max_facts p i =
   let step db delta =
     let db_idx = index db and delta_idx = index delta in
     List.fold_left

@@ -7,28 +7,27 @@ let make rel args =
 let make_array rel args =
   if Array.length args = 0 then
     invalid_arg "Fact.make_array: nullary facts are not supported";
-  { rel; args = Array.copy args }
+  { rel; args }
 
 let rel f = f.rel
 let args f = Array.to_list f.args
 let arity f = Array.length f.args
 let arg f i = f.args.(i)
 
+(* A top-level loop rather than a local closure: set operations call
+   this on every node they visit. *)
+let rec compare_args a b i =
+  if i = Array.length a then 0
+  else
+    let c = Value.compare a.(i) b.(i) in
+    if c <> 0 then c else compare_args a b (i + 1)
+
 let compare a b =
   let c = String.compare a.rel b.rel in
   if c <> 0 then c
   else
-    let la = Array.length a.args and lb = Array.length b.args in
-    let c = Stdlib.compare la lb in
-    if c <> 0 then c
-    else
-      let rec go i =
-        if i = la then 0
-        else
-          let c = Value.compare a.args.(i) b.args.(i) in
-          if c <> 0 then c else go (i + 1)
-      in
-      go 0
+    let c = Int.compare (Array.length a.args) (Array.length b.args) in
+    if c <> 0 then c else compare_args a.args b.args 0
 
 let equal a b = compare a b = 0
 let hash f = Hashtbl.hash (f.rel, Array.map Value.hash f.args)

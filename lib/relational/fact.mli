@@ -9,7 +9,8 @@ val make : string -> Value.t list -> t
 (** @raise Invalid_argument on an empty argument list. *)
 
 val make_array : string -> Value.t array -> t
-(** Like {!make} but takes ownership of the array (it is copied). *)
+(** Like {!make} but takes ownership of the array, without copying it:
+    the caller must not mutate it afterwards. *)
 
 val rel : t -> string
 val args : t -> Value.t list

@@ -33,8 +33,10 @@ let apply q i =
    base's graph, resolving [expected]) and answers each probe from the
    delta's few facts, never materializing [Q]; the [maintain] route
    saturates [Q(base)] once into an incremental handle and answers each
-   probe with a Δ-seeded semi-naive pass; the fallback unions, evaluates
-   from scratch, and scans [expected] in fact order. All routes return
+   probe with a Δ-seeded semi-naive pass, whose result is restricted to
+   the output schema only when [expected] strays outside it; the
+   fallback unions, evaluates from scratch, and scans [expected] in
+   fact order. All routes return
    the head of [diff expected after] whenever that diff is non-empty.
    The non-witness routes skip [apply]'s output validation — the scan
    probes millions of instances and the validation is a development
@@ -46,7 +48,10 @@ let stage ?(ivm = true) q ~base ~expected =
     | Some w, _ -> w ~base ~expected
     | None, Some m when ivm ->
       let app = m (Instance.restrict base q.input) in
-      fun d -> Instance.first_missing expected (app d)
+      if Instance.over expected q.output then fun d ->
+        Instance.first_missing expected (app d)
+      else fun d ->
+        Instance.first_missing expected (Instance.restrict (app d) q.output)
     | None, _ ->
       fun d ->
         Instance.first_missing expected

@@ -41,8 +41,9 @@ type t = {
           rules seeded only with [d] — never re-saturating from scratch.
           Supplied by [Datalog.Program.query] via [Datalog.Ivm]; used by
           {!stage} when no witness is registered and the [ivm] knob is
-          on. Must agree extensionally with [eval] on every
-          [base ∪ d]. *)
+          on. Its result restricted to the output schema must agree
+          with [eval] on every [base ∪ d]; facts outside it (a Datalog
+          program's intermediate relations) may be left in. *)
 }
 
 val make :
