@@ -277,8 +277,8 @@ let obs_term =
       & opt float 5.
       & info [ "heartbeat" ] ~docv:"SECS"
           ~doc:
-            "Cadence (seconds) of progress output: plain \\[hb\\] lines \
-             during network stabilization, and \\[live\\] lines when \
+            "Cadence (seconds) of progress output: plain [hb] lines \
+             during network stabilization, and [live] lines when \
              $(b,--live) is set. 0 disables the plain heartbeat.")
   in
   let mk metrics_out trace_out profile profile_out redact_timings series_out
@@ -547,9 +547,9 @@ let faults_term =
       & info [ "faults" ] ~docv:"PLAN"
           ~doc:
             "Wrap the scheduler(s) in a fault plan: semicolon-separated \
-             clauses seed=S, dup=PxK, loss=P:D, horizon=H, crash=N\\@R, \
-             part=G1|G2\\@R+D (e.g. \
-             'seed=7;dup=0.4x3;loss=0.25:2;crash=2\\@4;part=1|2,3\\@2+3'), \
+             clauses seed=S, dup=PxK, loss=P:D, horizon=H, crash=N@R, \
+             part=G1|G2@R+D (e.g. \
+             'seed=7;dup=0.4x3;loss=0.25:2;crash=2@4;part=1|2,3@2+3'), \
              or 'default' for a representative all-faults plan. Faulty \
              runs are deterministic from the seed; quiescence additionally \
              requires every fault to have struck and healed.")

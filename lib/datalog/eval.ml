@@ -2,8 +2,6 @@ open Relational
 
 exception Diverged
 
-let default_neg j f = not (Instance.mem f j)
-
 (* Telemetry (all stable): where the evaluator's work goes. Counted
    locally per rule activation and committed in one increment, so the hot
    join loop pays one registry hit per rule rather than one per candidate
@@ -57,8 +55,8 @@ let optimize p = List.map reorder_body p
    filled and backtracked in place, and the loop state is one record per
    call: no closure is built per probe or per candidate. Each atom costs
    one probe: a filter of a small relation, or of one index bucket of a
-   large one. The fixpoint reads the database or Δ; the IVM layer
-   composes base, overlay and Δ stores and the removal filters. With
+   large one. Saturation reads its store and Δ; the IVM layer composes
+   base, overlay and Δ stores and the removal filters. With
    [stats], per-atom lookups, non-empty lookups and candidates are
    counted. Inequality and negation side conditions stay with the
    continuation, which sees each complete valuation (valid only during
@@ -126,9 +124,25 @@ let iter_delta_firings ?stats ~at ~delta ~before ~after plan k =
     { stats; at; delta; before; after; plan; env = Array.copy plan.init; k }
     0
 
-let iter_firings ?stats source plan k =
-  iter_delta_firings ?stats ~at:(-1) ~delta:[] ~before:source ~after:source
-    plan k
+let iter_firings source plan k =
+  iter_delta_firings ~at:(-1) ~delta:[] ~before:source ~after:source plan k
+
+(* The Δ-position enumeration: every plan once per body position whose
+   predicate [delta] holds (a position it lacks fires nothing, so it is
+   skipped before any probe). *)
+let delta_positions delta plans act =
+  List.iter
+    (fun (pl : Joindb.plan) ->
+      for at = 0 to Array.length pl.atoms - 1 do
+        if Joindb.mem_pred delta pl.atoms.(at).pred then act pl at
+      done)
+    plans
+
+let iter_delta ~delta ?before ~after plans k =
+  let before = Option.value before ~default:after in
+  let d = [ Joindb.All delta ] in
+  delta_positions delta plans (fun pl at ->
+      iter_delta_firings ~at ~delta:d ~before ~after pl k)
 
 (* ANALYZE label: one flat string per rule, shared by the profile span
    and the per-rule metric rows. *)
@@ -140,116 +154,147 @@ let rule_label (r : Ast.rule) =
     | [] -> ""
     | ns -> ",!" ^ String.concat ",!" (preds ns))
 
-let derive_plan ~neg ~current ~db ~delta ~which (p : Joindb.plan) acc =
-  let profiling = Observe.Profile.is_enabled () in
-  let run () =
-    let out = ref acc and fired = ref 0 in
-    let st = stats (Array.length p.atoms) in
-    let neg = neg current in
-    (* Atom [which] reads [delta] instead of the full database. *)
-    iter_delta_firings ~stats:st
-      ~at:(Option.value which ~default:(-1))
-      ~delta ~before:db ~after:db p
-      (fun p env ->
-        if Joindb.passes p ~neg env then begin
-          if profiling then incr fired;
-          out := Instance.add (Joindb.ground_head p env) !out
-        end);
-    let sum a = Array.fold_left ( + ) 0 a in
-    let probes = sum st.cands and hits = sum st.hits in
-    if probes > 0 then Observe.Metrics.incr ~by:probes m_join_probes;
-    if hits > 0 then Observe.Metrics.incr ~by:hits m_index_hits;
-    (!out, !fired)
-  in
-  if not profiling then fst (run ())
-  else begin
-    (* Per-rule ANALYZE, recorded only under [calm profile]/[--profile]:
-       fired/derived/deduped are stable counters (summed per activation,
-       so byte-identical across --jobs by the pool's in-order merge);
-       the timing and the profile span stay volatile. *)
-    let label = rule_label p.rule in
-    let labels = [ ("rule", label) ] in
-    let out, fired =
-      Observe.Profile.span ("rule:" ^ label) (fun () ->
-          Observe.Metrics.time
-            (Observe.Metrics.timing ~labels "eval.rule_time")
-            run)
-    in
-    let derived = Instance.cardinal out - Instance.cardinal acc in
-    Observe.Metrics.incr ~by:fired
-      (Observe.Metrics.counter ~labels "eval.rule_fired");
-    Observe.Metrics.incr ~by:derived
-      (Observe.Metrics.counter ~labels "eval.rule_derived");
-    Observe.Metrics.incr ~by:(fired - derived)
-      (Observe.Metrics.counter ~labels "eval.rule_deduped");
-    out
-  end
+(* ------------------------------------------------------------------ *)
+(* The one semi-naive loop, shared by saturation and {!Ivm}.
 
-let derive_plans ?(neg = default_neg) plans j =
-  let db = [ Joindb.All (Joindb.of_instance j) ] in
-  let out =
-    List.fold_left
-      (fun acc p -> derive_plan ~neg ~current:j ~db ~delta:[] ~which:None p acc)
-      Instance.empty plans
-  in
-  Observe.Metrics.incr ~by:(Instance.cardinal out) m_derived;
-  out
+   Round 0 fires the plans [full] selects over [read] and probes the
+   [seed] facts at every body position. Every later round probes the
+   facts the previous round fired (its Δ) at each body position whose
+   predicate Δ holds, reading [read] everywhere else. Rounds are strict:
+   a fact fired in round k that neither [store] nor [known] holds goes
+   into a next-round store, which is round k+1's Δ and joins [store] only
+   at the end of round k. [read] includes [store] unless it already holds
+   every fact the loop can add. Negated atoms are tested for absence
+   from [neg]; [fired] sees every fact fired. More than [budget] facts
+   added raises [Diverged]. Returns the facts added to [store].
 
-let immediate_consequence ?neg p j =
-  Instance.union j (derive_plans ?neg (Joindb.plan_program p) j)
-
-let guard max_facts j =
-  match max_facts with
-  | Some budget when Instance.cardinal j > budget -> raise Diverged
-  | _ -> ()
-
-(* Semi-naive: after the first full round, every new derivation must match
-   at least one positive atom in the delta. Negated predicates are fixed
-   during a semi-positive fixpoint, so they take no part in deltas. *)
-let seminaive_plans ?(neg = default_neg) ?max_facts plans i =
-  let step db_i delta_i =
-    let db = [ Joindb.All (Joindb.of_instance db_i) ]
-    and delta = [ Joindb.All (Joindb.of_instance delta_i) ] in
-    List.fold_left
-      (fun acc (p : Joindb.plan) ->
-        let n = Array.length p.atoms in
-        let rec over_idx which acc =
-          if which = n then acc
-          else
-            over_idx (which + 1)
-              (derive_plan ~neg ~current:db_i ~db ~delta ~which:(Some which) p
-                 acc)
-        in
-        over_idx 0 acc)
-      Instance.empty plans
-  in
-  Observe.Metrics.time m_fixpoint (fun () ->
-      let first = derive_plans ~neg plans i in
-      let rec go db delta =
-        guard max_facts db;
-        if Instance.is_empty delta then db
-        else begin
-          Observe.Metrics.incr m_rounds;
-          Observe.Metrics.observe m_delta
-            (float_of_int (Instance.cardinal delta));
-          let db' = Instance.union db delta in
-          let fresh = Instance.diff (step db' delta) db' in
-          go db' fresh
+   With [stats], the loop records the eval.* rows: probes and non-empty
+   probes per activation (one plan at one Δ-position), rounds and Δ
+   sizes, and the distinct facts round 0 fired. Under profiling each
+   activation also runs in a [rule:<label>] span and counts its fired,
+   derived (distinct within the round) and deduped facts. *)
+let fixpoint ?stats:(telemetry = false) ?(budget = max_int)
+    ?(known = fun _ -> false) ?(fired = ignore) ~full ~seed ~store ~read ~neg
+    plans =
+  if budget < 0 then raise Diverged;
+  let profiling = telemetry && Observe.Profile.is_enabled () in
+  let next = ref (Joindb.create ()) and fresh = ref [] in
+  (* Fired facts already held, distinct within the round: counted only
+     where the telemetry asks for distinct facts. *)
+  let again = ref (Joindb.create ()) and tally = ref telemetry in
+  let n_fired = ref 0 and n_derived = ref 0 in
+  let fire (pl : Joindb.plan) env =
+    if Joindb.passes_absent pl neg env then begin
+      let f = Joindb.ground_head pl env in
+      incr n_fired;
+      fired f;
+      if known f || Joindb.mem store f then begin
+        if !tally && not (Joindb.mem !again f) then begin
+          Joindb.add !again f;
+          incr n_derived
         end
-      in
-      go i (Instance.diff first i))
+      end
+      else if not (Joindb.mem !next f) then begin
+        Joindb.add !next f;
+        fresh := f :: !fresh;
+        incr n_derived
+      end
+    end
+  in
+  let activate ~at ~delta (pl : Joindb.plan) =
+    let run ?stats () =
+      iter_delta_firings ?stats ~at ~delta ~before:read ~after:read pl fire
+    in
+    if not telemetry then run ()
+    else begin
+      let st = stats (Array.length pl.atoms) in
+      let run () = run ~stats:st () in
+      let fired0 = !n_fired and derived0 = !n_derived in
+      if not profiling then run ()
+      else begin
+        (* Per-rule ANALYZE, recorded only under [calm profile]/[--profile]:
+           fired/derived/deduped are stable counters (summed per
+           activation, so byte-identical across --jobs by the pool's
+           in-order merge); the timing and the profile span stay
+           volatile. *)
+        let labels = [ ("rule", rule_label pl.rule) ] in
+        Observe.Profile.span ("rule:" ^ rule_label pl.rule) (fun () ->
+            Observe.Metrics.time
+              (Observe.Metrics.timing ~labels "eval.rule_time")
+              run);
+        let fired = !n_fired - fired0 and derived = !n_derived - derived0 in
+        Observe.Metrics.incr ~by:fired
+          (Observe.Metrics.counter ~labels "eval.rule_fired");
+        Observe.Metrics.incr ~by:derived
+          (Observe.Metrics.counter ~labels "eval.rule_derived");
+        Observe.Metrics.incr ~by:(fired - derived)
+          (Observe.Metrics.counter ~labels "eval.rule_deduped")
+      end;
+      let sum a = Array.fold_left ( + ) 0 a in
+      let probes = sum st.cands and hits = sum st.hits in
+      if probes > 0 then Observe.Metrics.incr ~by:probes m_join_probes;
+      if hits > 0 then Observe.Metrics.incr ~by:hits m_index_hits
+    end
+  in
+  let delta_pass delta =
+    let d = [ Joindb.All delta ] in
+    delta_positions delta plans (fun pl at -> activate ~at ~delta:d pl)
+  in
+  List.iter
+    (fun pl -> if full pl then activate ~at:(-1) ~delta:[] pl)
+    plans;
+  (match seed with [] -> () | _ -> delta_pass (Joindb.of_facts seed));
+  if telemetry then Observe.Metrics.incr ~by:!n_derived m_derived;
+  tally := profiling;
+  let rec rounds added acc =
+    match !fresh with
+    | [] -> acc
+    | facts ->
+      let delta = !next and n = List.length facts in
+      next := Joindb.create ();
+      fresh := [];
+      if profiling then again := Joindb.create ();
+      List.iter (Joindb.add store) facts;
+      if added + n > budget then raise Diverged;
+      if telemetry then begin
+        Observe.Metrics.incr m_rounds;
+        Observe.Metrics.observe m_delta (float_of_int n)
+      end;
+      delta_pass delta;
+      rounds (added + n) (List.rev_append facts acc)
+  in
+  rounds 0 []
 
-let seminaive ?neg ?max_facts p i =
-  seminaive_plans ?neg ?max_facts (Joindb.plan_program p) i
+(* Saturation: the strata's plans bottom-up over one store of the input,
+   each stratum one full pass and then the rounds. *)
+let saturate ?max_facts strata i =
+  let store = Joindb.of_instance i in
+  let size = ref (Instance.cardinal i) in
+  let model =
+    List.fold_left
+      (fun model plans ->
+        let added =
+          Observe.Metrics.time m_fixpoint (fun () ->
+              fixpoint ~stats:true
+                ?budget:(Option.map (fun b -> b - !size) max_facts)
+                ~full:(fun _ -> true)
+                ~seed:[] ~store ~read:[ Joindb.All store ]
+                ~neg:[ Joindb.All store ] plans)
+        in
+        size := !size + List.length added;
+        List.fold_left (fun m f -> Instance.add f m) model added)
+      i strata
+  in
+  (model, store)
+
+let seminaive ?max_facts p i =
+  fst (saturate ?max_facts [ Joindb.plan_program p ] i)
 
 let stratified ?max_facts p i =
   match Stratify.stratify p with
   | Error e -> Error e
   | Ok { strata; _ } ->
-    Ok
-      (List.fold_left
-         (fun acc stratum -> seminaive ?max_facts stratum acc)
-         i strata)
+    Ok (fst (saturate ?max_facts (List.map Joindb.plan_program strata) i))
 
 let stratified_exn ?max_facts p i =
   match stratified ?max_facts p i with
@@ -278,7 +323,7 @@ type rule_report = {
   derived : int;
 }
 
-let explain ?(neg = default_neg) p j =
+let explain p j =
   let db = [ Joindb.All (Joindb.of_instance j) ] in
   let extent_of (ap : Joindb.atom_plan) =
     Instance.fold
@@ -286,16 +331,16 @@ let explain ?(neg = default_neg) p j =
         if Fact.rel f = ap.pred && Fact.arity f = ap.arity then n + 1 else n)
       j 0
   in
-  let neg = neg j in
   List.map
     (fun (pl : Joindb.plan) ->
       let n = Array.length pl.atoms in
       let st = stats n in
       let vals = ref 0 and fired = ref 0 in
       let out = ref Instance.empty in
-      iter_firings ~stats:st db pl (fun pl env ->
+      iter_delta_firings ~stats:st ~at:(-1) ~delta:[] ~before:db ~after:db pl
+        (fun pl env ->
           incr vals;
-          if Joindb.passes pl ~neg env then begin
+          if Joindb.passes_absent pl db env then begin
             incr fired;
             out := Instance.add (Joindb.ground_head pl env) !out
           end);

@@ -1,17 +1,15 @@
 (** Fixpoint evaluation of Datalog¬ programs.
 
-    [seminaive] computes the minimal fixpoint of the immediate
-    consequence operator [T_P] (Section 2) for semi-positive programs —
-    programs whose negated predicates are never derived by the rules being
-    evaluated (their extent is fixed throughout). [stratified] runs a
-    syntactic stratification bottom-up, each stratum with [seminaive].
-
-    The optional [neg] argument overrides how a negated ground atom is
-    tested; it receives the current total instance and the candidate fact.
-    The default tests absence from the current instance, which is the
-    paper's semantics for semi-positive programs and strata. The
-    well-founded evaluator overrides it to test against a fixed
-    underestimate. *)
+    The engine has one semi-naive loop, {!fixpoint}: saturation here and
+    every maintenance path of {!Ivm} run it. [seminaive] computes the
+    minimal fixpoint of the immediate consequence operator [T_P]
+    (Section 2) for semi-positive programs — programs whose negated
+    predicates are never derived by the rules being evaluated (their
+    extent is fixed throughout). [stratified] runs a syntactic
+    stratification bottom-up over one store of the input, each stratum
+    one full pass and then the loop's rounds. A negated ground atom holds
+    when the store lacks it: the paper's semantics for semi-positive
+    programs and strata. *)
 
 open Relational
 
@@ -33,26 +31,11 @@ val reorder_body : Ast.rule -> Ast.rule
 val optimize : Ast.program -> Ast.program
 (** {!reorder_body} applied to every rule. *)
 
-val immediate_consequence :
-  ?neg:(Instance.t -> Fact.t -> bool) ->
-  Ast.program -> Instance.t -> Instance.t
-(** [T_P(J)]. *)
-
-val seminaive :
-  ?neg:(Instance.t -> Fact.t -> bool) ->
-  ?max_facts:int ->
-  Ast.program -> Instance.t -> Instance.t
+val seminaive : ?max_facts:int -> Ast.program -> Instance.t -> Instance.t
 (** Least fixpoint above the input by semi-naive (delta) iteration.
     Agrees with the reference naive fixpoint {!Refeval.naive} on
     semi-positive programs (tested property).
     @raise Diverged if the fixpoint grows past [max_facts]. *)
-
-val seminaive_plans :
-  ?neg:(Instance.t -> Fact.t -> bool) ->
-  ?max_facts:int ->
-  Joindb.plan list -> Instance.t -> Instance.t
-(** {!seminaive} over rules already compiled by {!Joindb.plan_program}:
-    {!Ivm} compiles a program once and saturates many inputs. *)
 
 val stratified :
   ?max_facts:int -> Ast.program -> Instance.t -> (Instance.t, string) result
@@ -62,45 +45,70 @@ val stratified :
 val stratified_exn : ?max_facts:int -> Ast.program -> Instance.t -> Instance.t
 (** @raise Invalid_argument if not stratifiable. *)
 
-type stats = {
-  lookups : int array;  (** probes issued, per body atom *)
-  hits : int array;  (** probes that yielded at least one candidate *)
-  cands : int array;  (** candidate facts examined *)
-}
-
-val stats : int -> stats
-(** Zeroed counters for a plan with the given number of body atoms. *)
+val saturate :
+  ?max_facts:int -> Joindb.plan list list -> Instance.t -> Instance.t * Joindb.t
+(** {!stratified} over strata already compiled by {!Joindb.plan_program},
+    bottom-up: the model and the one store that holds it. {!Ivm} compiles
+    a program once, saturates many inputs and keeps each store.
+    @raise Diverged if the model grows past [max_facts]. *)
 
 val iter_firings :
-  ?stats:stats ->
   Joindb.source -> Joindb.plan -> (Joindb.plan -> Value.t array -> unit) ->
   unit
-(** The evaluator's one join loop, shared with {!Ivm}: enumerate
-    complete valuations of a plan's positive body, reading every body
-    position from the source (composed base, overlay and Δ stores with
-    their removal filters). The valuation passed to the continuation is
-    the loop's own slot array, valid only during the call; ground it with
-    {!Joindb.ground_head} and test it with {!Joindb.passes}. *)
+(** The evaluator's one join loop: enumerate complete valuations of a
+    plan's positive body, reading every body position from the source
+    (composed base, overlay and Δ stores with their removal filters). The
+    valuation passed to the continuation is the loop's own slot array,
+    valid only during the call; ground it with {!Joindb.ground_head} and
+    test it with {!Joindb.passes_absent}. *)
 
-val iter_delta_firings :
-  ?stats:stats ->
-  at:int ->
-  delta:Joindb.source ->
-  before:Joindb.source ->
+val iter_delta :
+  delta:Joindb.t ->
+  ?before:Joindb.source ->
   after:Joindb.source ->
-  Joindb.plan -> (Joindb.plan -> Value.t array -> unit) -> unit
-(** {!iter_firings} reading body position [at] from [delta], earlier
-    positions from [before] and later ones from [after]: one Δ-position
-    of semi-naive evaluation ([at < 0] reads [after] everywhere). *)
+  Joindb.plan list -> (Joindb.plan -> Value.t array -> unit) -> unit
+(** The Δ-position enumeration: {!iter_firings} of every plan once per
+    body position whose predicate [delta] holds, reading [delta] there,
+    [before] (default [after]) at earlier positions and [after] at later
+    ones. Only the counting partition of {!Ivm} tells the two apart. *)
+
+val fixpoint :
+  ?stats:bool ->
+  ?budget:int ->
+  ?known:(Fact.t -> bool) ->
+  ?fired:(Fact.t -> unit) ->
+  full:(Joindb.plan -> bool) ->
+  seed:Fact.t list ->
+  store:Joindb.t ->
+  read:Joindb.source ->
+  neg:Joindb.source ->
+  Joindb.plan list -> Fact.t list
+(** The one semi-naive loop. Round 0 fires the plans [full] selects over
+    [read] and probes the [seed] facts (already in [read]) at every body
+    position. Each later round probes the facts the previous round fired
+    — its Δ — at every body position whose predicate Δ holds, reading
+    [read] elsewhere. Rounds are strict: a fired fact that neither
+    [store] nor [known] holds goes into a next-round store, which is the
+    next round's Δ and joins [store] only at the end of the round that
+    fired it. [read] includes [store] unless it already holds every fact
+    the loop can add. Negated atoms hold when [neg] lacks them;
+    [fired] sees every fact fired. Returns the facts added to [store].
+
+    With [stats] (saturation), the loop records [eval.join_probes],
+    [eval.index_hits], [eval.seminaive_rounds], [eval.delta_size] and
+    [eval.derived_facts] (the distinct facts of round 0) and, under
+    profiling, the per-rule rows below; {!Ivm}'s maintenance records none.
+    @raise Diverged once it has added more than [budget] facts. *)
 
 (** {2 EXPLAIN ANALYZE}
 
     When profiling is enabled ({!Observe.Profile.is_enabled}), every rule
-    activation additionally records stable per-rule counters
+    activation of a saturation (one plan at one Δ-position) additionally
+    records stable per-rule counters
     [eval.rule_fired] / [eval.rule_derived] / [eval.rule_deduped], a
     volatile [eval.rule_time] timing, and a [rule:<label>] profile span —
-    all keyed by {!rule_label}. While profiling is off the evaluator pays
-    a single atomic load per activation. *)
+    all keyed by {!rule_label}. While profiling is off a saturation pays
+    a single atomic load per stratum. *)
 
 val rule_label : Ast.rule -> string
 (** Flat label shared by the per-rule metrics and profile spans:
@@ -122,9 +130,7 @@ type rule_report = {
   derived : int;  (** facts derived by this pass not already in the db *)
 }
 
-val explain :
-  ?neg:(Instance.t -> Fact.t -> bool) ->
-  Ast.program -> Instance.t -> rule_report list
+val explain : Ast.program -> Instance.t -> rule_report list
 (** One instrumented derivation pass of every rule over the given
     database (pass the fixpoint to see the plans under their real
     workload), with per-atom estimated-vs-actual candidate counts.

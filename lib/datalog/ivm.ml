@@ -6,10 +6,11 @@ open Relational
    plus enough support state to maintain it under change: per-fact
    derivation counts for non-recursive strata (the counting algorithm),
    DRed over-delete/re-derive for recursive strata where counting is
-   unsound. The scan's hot path — insertion-only deltas probed against a
-   base — runs semi-naive rounds seeded only with Δ against the handle's
-   Joindb store (its indexes built once, shared across thousands of
-   applies), one overlay store per run and one Δ store per stratum;
+   unsound. Every path runs {!Eval.fixpoint}, the engine's one
+   semi-naive loop. The scan's hot path — insertion-only deltas probed
+   against a base — seeds it only with Δ against the handle's Joindb
+   store (the store its saturation filled, indexes built once and shared
+   across thousands of applies) and one overlay store per run;
    retractions take the counting-decrement or DRed route; strata whose
    negated predicates are touched by the change fall back to a per-
    stratum recomputation (counted in [eval.ivm_rederived]), never a
@@ -42,7 +43,7 @@ type compiled_stratum = {
 type compiled = {
   cstrata : compiled_stratum array;
   heads_all : Sset.t;
-  reads : Sset.t;  (* predicates some rule reads: all that [db] stores *)
+  reads : Sset.t;  (* predicates some rule reads *)
 }
 
 type stratum = {
@@ -72,31 +73,13 @@ type t = {
   mutable model : Instance.t;  (* given ∪ ⋃ derived *)
   mutable size : int;  (* cardinal of model, cached for the guard *)
   mutable db : Joindb.t;
-      (* the model's facts of [reads] (a rule never probes the rest),
-         indexes lazily built and reused *)
+      (* the model's facts: the store saturation filled, indexes lazily
+         built and reused *)
 }
 
 let supported = Stratify.is_stratifiable
 let given h = h.given
 let current h = h.model
-
-(* ------------------------------------------------------------------ *)
-(* The one Δ-position enumeration: fire every plan once per body
-   position [which], reading [delta] there, [before] at earlier positions
-   and [after] at later ones. [before] defaults to [after]; only the
-   counting partition tells the pre-state from the post-state. A
-   position whose predicate [delta] lacks fires nothing and is skipped
-   before any probe. *)
-let iter_delta ~delta ?before ~after plans k =
-  let before = Option.value before ~default:after in
-  let d = [ Joindb.All delta ] in
-  List.iter
-    (fun (pl : Joindb.plan) ->
-      for which = 0 to Array.length pl.atoms - 1 do
-        if Joindb.mem_pred delta pl.atoms.(which).pred then
-          Eval.iter_delta_firings ~at:which ~delta:d ~before ~after pl k
-      done)
-    plans
 
 (* ------------------------------------------------------------------ *)
 (* Stratum compilation *)
@@ -140,33 +123,24 @@ let compile program =
           cstrata;
     }
 
-(* The facts of [l] whose predicate [keep] holds. *)
-let read_facts keep l = List.filter (fun f -> Sset.mem (Fact.rel f) keep) l
-
 let start ?max_facts compiled given =
-  let acc = ref given in
-  let strata =
-    Array.map
-      (fun c ->
-        let acc' = Eval.seminaive_plans ?max_facts c.plans !acc in
-        acc := acc';
-        {
-          c;
-          derived = None;
-          counts = None;
-          given_heads = None;
-        })
-      compiled.cstrata
+  let model, db =
+    Eval.saturate ?max_facts
+      (Array.to_list (Array.map (fun c -> c.plans) compiled.cstrata))
+      given
   in
   {
     max_facts;
-    strata;
+    strata =
+      Array.map
+        (fun c -> { c; derived = None; counts = None; given_heads = None })
+        compiled.cstrata;
     all_heads = compiled.heads_all;
     reads = compiled.reads;
     given;
-    model = !acc;
-    size = Instance.cardinal !acc;
-    db = Joindb.of_facts (read_facts compiled.reads (Instance.to_list !acc));
+    model;
+    size = Instance.cardinal model;
+    db;
   }
 
 let materialize ?max_facts program given =
@@ -309,93 +283,48 @@ let now_source rs =
 
 let relevant_to s f = Sset.mem (Fact.rel f) s.c.body_preds
 
-(* ------------------------------------------------------------------ *)
-(* The one semi-naive rounds loop, shared by insertion, recomputation and
-   re-derivation. [fire] adds each new head fact to the stratum's one Δ
-   store (which [base] reads, and which answers "seen already?") and
-   pushes it onto [fresh]; each round probes the previous round's facts
-   at every body position (the rest through [base]) and checks the
-   budget. Returns every fact pushed during the rounds, round by
-   round. *)
-let pass rs ~delta ~base ~fresh ~fire plans =
-  iter_delta ~delta ~after:base plans fire;
-  let n = List.length !fresh in
-  rs.size <- rs.size + n;
-  guard rs;
-  rs.size <- rs.size - n
-
-let rounds rs ~base ~fresh ~fire plans =
-  let rec go acc =
-    match !fresh with
-    | [] -> acc
-    | delta_facts ->
-      fresh := [];
-      pass rs ~delta:(Joindb.of_facts delta_facts) ~base ~fresh ~fire plans;
-      go (List.rev_append !fresh acc)
-  in
-  go []
+(* What the loop may add before the model passes the budget. *)
+let budget rs = Option.map (fun b -> b - rs.size) rs.h.max_facts
 
 (* ------------------------------------------------------------------ *)
 (* Insertion-only semi-naive over one stratum: the scan's hot path.
    Requires no removals among the stratum's body or head predicates and
    untouched negated predicates; presence additions committed so far
    (including any new given head facts, already committed by the caller)
-   seed the delta. They are already in the overlay, so only the facts
-   the rounds derive enter the Δ store. Returns the freshly derived head
-   facts. *)
+   seed the loop. They are already in the overlay, so only the facts the
+   rounds derive enter the stratum's store. Returns the freshly derived
+   head facts. *)
 let sem_add rs s =
-  match read_facts s.c.body_preds rs.adds with
+  match List.filter (relevant_to s) rs.adds with
   | [] -> []
-  | seeds ->
-    let fresh = ref [] and store = Joindb.create () in
-    let now = now_source rs in
-    let base = now @ [ Joindb.All store ] in
-    let fire (pl : Joindb.plan) env =
-      if Joindb.passes_absent pl now env then begin
-        let f = Joindb.ground_head pl env in
-        if not (Instance.mem f rs.m_new || Joindb.mem store f) then begin
-          Joindb.add store f;
-          fresh := f :: !fresh
-        end
-      end
-    in
-    pass rs ~delta:(Joindb.of_facts seeds) ~base ~fresh ~fire s.c.plans;
-    let first = !fresh in
-    List.rev_append first (rounds rs ~base ~fresh ~fire s.c.plans)
+  | seed ->
+    let store = Joindb.create () and now = now_source rs in
+    Eval.fixpoint ?budget:(budget rs)
+      ~known:(fun f -> Instance.mem f rs.m_new)
+      ~full:(fun _ -> false)
+      ~seed ~store ~read:(now @ [ Joindb.All store ]) ~neg:now s.c.plans
 
 (* Fixpoint of a stratum's rules for the two recomputing paths, over the
    old model minus [skip], the additions so far and the [given] head
    facts. [full] selects the rules that get one full pass; [adds] seeds
-   one semi-naive pass; the rounds take it from there. A fact is new to
-   the rounds unless [seen] holds it or the Δ store (seeded with [given])
-   already does; a non-recursive stratum's rules read none of its heads,
-   so it has no rounds. [derived] starts from what the caller already
-   holds. Returns every head fact fired plus [derived]. *)
+   the loop. A fact is new to the rounds unless [seen] holds it or the
+   stratum's store (seeded with [given]) already does; a non-recursive
+   stratum's rules read none of its heads, so it has no rounds. [derived]
+   starts from what the caller already holds. Returns every head fact
+   fired plus [derived]. The facts the loop adds all belong to the new
+   model, so the budget bounds them alone. *)
 let refixpoint rs s ~skip ~given ~seen ~derived ~full ~adds =
-  let store = Joindb.of_facts given in
-  let base =
-    [ Joindb.Without (rs.h.db, skip); Joindb.All rs.overlay; Joindb.All store ]
-  in
-  let now = now_source rs in
-  let derived' = ref derived and fresh = ref [] in
-  let fire (pl : Joindb.plan) env =
-    if Joindb.passes_absent pl now env then begin
-      let f = Joindb.ground_head pl env in
-      derived' := Instance.add f !derived';
-      if s.c.recursive && not (seen f || Joindb.mem store f) then begin
-        Joindb.add store f;
-        fresh := f :: !fresh
-      end
-    end
-  in
-  List.iter
-    (fun (pl : Joindb.plan) ->
-      if full pl then Eval.iter_firings base pl fire)
-    s.c.plans;
-  (match adds with
-  | [] -> ()
-  | _ -> iter_delta ~delta:(Joindb.of_facts adds) ~after:base s.c.plans fire);
-  ignore (rounds rs ~base ~fresh ~fire s.c.plans);
+  let store = Joindb.of_facts given and now = now_source rs in
+  let derived' = ref derived in
+  ignore
+    (Eval.fixpoint ?budget:rs.h.max_facts
+       ~known:(fun f -> (not s.c.recursive) || seen f)
+       ~fired:(fun f -> derived' := Instance.add f !derived')
+       ~full ~seed:adds ~store
+       ~read:
+         [ Joindb.Without (rs.h.db, skip); Joindb.All rs.overlay;
+           Joindb.All store ]
+       ~neg:now s.c.plans);
   !derived'
 
 (* ------------------------------------------------------------------ *)
@@ -421,38 +350,24 @@ let scratch rs s =
    untouched): over-delete everything with a derivation through a
    removed fact, then re-derive from the survivors plus the new input. *)
 let dred rs s ~ghr =
-  let d = ref Instance.empty in
-  let seed =
-    List.filter (relevant_to s) (Instance.to_list rs.rem_inst)
-    @ List.filter
-        (fun f ->
-          if Instance.mem f (derived rs.h s) then begin
-            d := Instance.add f !d;
-            true
-          end
-          else false)
-        ghr
+  let derived = derived rs.h s in
+  let gone =
+    Instance.of_list (List.filter (fun f -> Instance.mem f derived) ghr)
   in
-  let old = [ Joindb.All rs.h.db ] and now = now_source rs in
-  let rec over_del w =
-    match w with
-    | [] -> ()
-    | _ ->
-      let next = ref [] in
-      iter_delta ~delta:(Joindb.of_facts w) ~after:old s.c.plans (fun pl env ->
-          if Joindb.passes_absent pl now env then begin
-            let f = Joindb.ground_head pl env in
-            if Instance.mem f (derived rs.h s) && not (Instance.mem f !d)
-            then begin
-              d := Instance.add f !d;
-              next := f :: !next
-            end
-          end);
-      over_del !next
+  (* The old model already holds every fact the loop adds, so it reads
+     the old store alone. *)
+  let over =
+    Eval.fixpoint
+      ~known:(fun f -> (not (Instance.mem f derived)) || Instance.mem f gone)
+      ~full:(fun _ -> false)
+      ~seed:
+        (List.filter (relevant_to s) (Instance.to_list rs.rem_inst)
+        @ Instance.to_list gone)
+      ~store:(Joindb.create ()) ~read:[ Joindb.All rs.h.db ]
+      ~neg:(now_source rs) s.c.plans
   in
-  over_del seed;
-  let survivors = Instance.diff (derived rs.h s) !d in
-  survivors, !d
+  let d = List.fold_left (fun d f -> Instance.add f d) gone over in
+  (Instance.diff derived d, d)
 
 (* Re-derivation phase of DRed: fixpoint over survivors ∪ new input.
    Rules whose head predicate was over-deleted get one full pass (a
@@ -506,7 +421,7 @@ let counting_maintain rs s ~ghr =
   | [] -> ()
   | _ ->
     let c = Option.get counts in
-    iter_delta ~delta:(Joindb.of_facts body_rem) ~before:mid
+    Eval.iter_delta ~delta:(Joindb.of_facts body_rem) ~before:mid
       ~after:[ Joindb.All rs.h.db ] s.c.plans (fun pl env ->
         if Joindb.passes_absent pl now env then begin
           let f = Joindb.ground_head pl env in
@@ -520,7 +435,7 @@ let counting_maintain rs s ~ghr =
   (match body_add with
   | [] -> ()
   | _ ->
-    iter_delta ~delta:(Joindb.of_facts body_add) ~before:mid
+    Eval.iter_delta ~delta:(Joindb.of_facts body_add) ~before:mid
       ~after:(mid @ [ Joindb.All rs.overlay ])
       s.c.plans (fun pl env ->
         if Joindb.passes_absent pl now env then begin
@@ -675,7 +590,7 @@ let run_update h ~destructive ~add_list ~remove =
     h.model <- rs.m_new;
     h.size <- rs.size;
     h.db <-
-      Joindb.update h.db ~add:(read_facts h.reads rs.adds) ~remove:rs.rem_inst;
+      Joindb.update h.db ~add:rs.adds ~remove:rs.rem_inst;
     Array.iteri
       (fun si s ->
         s.given_heads <- None;

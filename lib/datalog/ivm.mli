@@ -4,17 +4,21 @@
     IDB plus support state: per-fact derivation counts for non-recursive
     strata (counting algorithm), DRed over-delete/re-derive where
     counting is unsound (recursive strata) — and answers updates without
-    re-saturating from scratch. Insertion-only deltas (the monotonicity
-    scan's probes) run semi-naive rounds seeded only with Δ against the
-    handle's Joindb indexes, which are built lazily once and shared
-    across applies; retractions decrement counts or take the DRed route;
-    a stratum whose negated predicates are touched by a change is
-    recomputed by itself over the maintained lower strata, never the
-    whole program.
+    re-saturating from scratch. Every path runs the engine's one
+    semi-naive loop, {!Eval.fixpoint}, with its strict rounds.
+    Insertion-only deltas (the monotonicity scan's probes) seed it with Δ
+    alone against the store the handle's saturation filled, whose indexes
+    are built lazily once and shared across applies; retractions
+    decrement counts or take the DRed route (over-deletion and
+    re-derivation are both runs of the loop); a stratum whose negated
+    predicates are touched by a change is recomputed by itself over the
+    maintained lower strata, never the whole program.
 
     Work is metered by two stable counters: [eval.ivm_applies] (one per
     {!apply}/{!update}) and [eval.ivm_rederived] (facts recomputed by a
     fallback — scratch stratum recomputation or DRed re-derivation).
+    Saturating a handle records the [eval.*] rows of {!Eval.saturate};
+    maintenance records none of them.
     Under profiling, applies run inside an [ivm.apply] span with
     fallbacks nested as [ivm.rederive].
 
@@ -42,7 +46,8 @@ val compile : Ast.program -> compiled
 
 val start : ?max_facts:int -> compiled -> Instance.t -> t
 (** {!materialize} from a compiled program: the scan compiles once and
-    starts a handle per base.
+    starts a handle per base. The store {!Eval.saturate} filled becomes
+    the handle's own.
     @raise Eval.Diverged past [max_facts]. *)
 
 val materialize : ?max_facts:int -> Ast.program -> Instance.t -> t

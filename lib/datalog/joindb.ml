@@ -207,19 +207,6 @@ let rec ineqs_hold env ineqs j =
   (not (value_equal (Array.unsafe_get env x) (Array.unsafe_get env y)))
   && ineqs_hold env ineqs (j + 1)
 
-let rec negs_hold env neg negs j =
-  j = Array.length negs
-  ||
-  let ap = Array.unsafe_get negs j in
-  neg (Fact.make_array ap.pred (values env ap.kslot))
-  && negs_hold env neg negs (j + 1)
-
-(* The inequality and negation side conditions of a complete valuation;
-   [neg f] tests that the negated ground atom [f] holds. *)
-let passes p ~neg env =
-  check_bound p;
-  ineqs_hold env p.ineqs 0 && negs_hold env neg p.negs 0
-
 let rec checks_hold ap env (args : Value.t array) j =
   j = Array.length ap.cpos
   || value_equal args.(ap.cpos.(j)) (Array.unsafe_get env ap.cslot.(j))
@@ -274,8 +261,9 @@ let index_add ix f =
   ix.count <- ix.count + 1
 
 (* In-place insertion, maintaining the indexes already built. Only for
-   stores no [update] shares storage with: the overlays and Δ stores of
-   one maintenance run. *)
+   stores no [update] shares storage with: a saturation's store until it
+   becomes a handle's base, and the overlays and stratum stores of one
+   maintenance run. *)
 let add db (f : Fact.t) =
   match Smap.find f.rel db.rels with
   | exception Not_found ->
@@ -460,8 +448,9 @@ let rec negs_absent env source negs j =
   || (not (exists_source source (Array.unsafe_get negs j) env))
      && negs_absent env source negs (j + 1)
 
-(* [passes] with negation read as absence from [source]: a membership
-   probe per negated atom, grounding nothing. *)
+(* The inequality and negation side conditions of a complete valuation,
+   each negated atom read as absence from [source]: a membership probe
+   per negated atom, grounding nothing. *)
 let passes_absent p source env =
   check_bound p;
   ineqs_hold env p.ineqs 0 && negs_absent env source p.negs 0

@@ -76,11 +76,6 @@ val ground_head : plan -> Value.t array -> Fact.t
     Skolemized (Section 5.2).
     @raise Invalid_argument on a variable no positive atom binds. *)
 
-val passes : plan -> neg:(Fact.t -> bool) -> Value.t array -> bool
-(** Inequality and negation side conditions under a complete valuation;
-    [neg f] must hold for every grounded negated atom [f].
-    @raise Invalid_argument on a variable no positive atom binds. *)
-
 (** {2 Storage} *)
 
 type t
@@ -94,7 +89,8 @@ val create : unit -> t
 
 val add : t -> Fact.t -> unit
 (** In-place insertion, maintaining every index already built. Only for
-    stores that share no storage through {!update} — the overlays and Δ
+    stores that share no storage through {!update} — a saturation's store
+    until it becomes an {!Ivm} handle's base, and the overlays and stratum
     stores of one maintenance run. *)
 
 val of_instance : Instance.t -> t
@@ -139,8 +135,9 @@ type part =
 type source = part list
 
 val passes_absent : plan -> source -> Value.t array -> bool
-(** {!passes} with each negated atom tested by a membership probe of the
-    source instead of grounding it.
+(** Inequality and negation side conditions under a complete valuation,
+    each negated atom holding when the source lacks it (a membership
+    probe, grounding nothing).
     @raise Invalid_argument on a variable no positive atom binds. *)
 
 (** {2 EXPLAIN} *)

@@ -2,29 +2,6 @@ open Relational
 
 type model = { true_facts : Instance.t; undefined : Instance.t }
 
-let gamma p input s =
-  let idb = Ast.idb p in
-  let neg _current f =
-    if Schema.mem idb (Fact.rel f) then not (Instance.mem f s)
-    else not (Instance.mem f input)
-  in
-  Eval.seminaive ~neg p input
-
-(* Alternating fixpoint: T0 = ∅, T_{k+1} = Γ(T_k). Even iterates climb to
-   lfp(Γ²) (true facts), odd iterates descend to gfp(Γ²) (not-false
-   facts). Stop when two consecutive even/odd pairs repeat. *)
-let eval p input =
-  let rec go under over =
-    let under' = gamma p input over in
-    let over' = gamma p input under' in
-    if Instance.equal under under' && Instance.equal over over' then
-      (under, over)
-    else go under' over'
-  in
-  let t1 = gamma p input Instance.empty in
-  let under, over = go Instance.empty t1 in
-  { true_facts = under; undefined = Instance.diff over under }
-
 let total m = Instance.is_empty m.undefined
 
 let prev_prefix = "Prev_"
@@ -45,22 +22,29 @@ let doubled_step_program p =
       })
     p
 
-let eval_via_doubling p input =
+(* Alternating fixpoint: T0 = the input (no idb fact beyond it),
+   T_{k+1} = step(T_k), where a step is an ordinary evaluation of the
+   semi-positive doubled program with T_k's idb facts as its Prev_
+   relations. Even iterates climb to the true facts, odd iterates
+   descend to the not-false facts; stop when two consecutive even/odd
+   pairs repeat. *)
+let eval p input =
   let idb = Ast.idb p in
   let step_program = doubled_step_program p in
-  let idb_facts i = Instance.restrict i idb in
   let as_prev i =
     Instance.fold
       (fun f acc ->
-        Instance.add (Fact.make (prev_prefix ^ Fact.rel f) (Fact.args f)) acc)
-      (idb_facts i) Instance.empty
+        if Schema.mem idb (Fact.rel f) then
+          Instance.add (Fact.make (prev_prefix ^ Fact.rel f) (Fact.args f)) acc
+        else acc)
+      i Instance.empty
   in
   let step prev =
     let full =
       Eval.seminaive step_program (Instance.union input (as_prev prev))
     in
     (* Keep only genuine idb facts (drop the Prev_ helpers). *)
-    Instance.union input (idb_facts full)
+    Instance.union input (Instance.restrict full idb)
   in
   let rec fix under over =
     let under' = step over in
@@ -69,7 +53,7 @@ let eval_via_doubling p input =
       (under, over)
     else fix under' over'
   in
-  let under, over = fix Instance.empty (step Instance.empty) in
+  let under, over = fix input (step input) in
   { true_facts = under; undefined = Instance.diff over under }
 
 let is_stratified_compatible p input =

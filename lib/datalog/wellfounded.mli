@@ -1,11 +1,16 @@
-(** Well-founded semantics via the alternating fixpoint.
+(** Well-founded semantics via the doubled program (paper, Section 7).
 
     Needed for the win-move query and for the "doubled program" discussion
-    in the paper's Section 7. The stable operator [Γ(S)] evaluates the
-    program with negated idb atoms read against the fixed set [S] (and
-    negated edb atoms against the input); [Γ] is antimonotone, [Γ²]
-    monotone. Iterating from the empty underestimate yields the true facts
-    as [lfp(Γ²)] and the not-false facts as [gfp(Γ²)]. *)
+    in the paper's Section 7. Rename every negated idb atom [¬R(ū)] to
+    [¬Prev_R(ū)]: the result is an ordinary {e semi-positive} program in
+    which the previous iterate is an edb relation. One step evaluates it
+    with {!Eval.seminaive}, feeding the previous step's idb facts in as
+    the [Prev_*] relations. The step is antimonotone in those facts, so
+    iterating it from the empty set alternates: the even iterates climb
+    to the true facts, the odd ones descend to the not-false facts (the
+    alternating fixpoint). A stratified engine thus computes the
+    well-founded model, which is how the paper argues connected Datalog¬
+    under the well-founded semantics stays in Mdisjoint. *)
 
 open Relational
 
@@ -14,11 +19,11 @@ type model = {
   undefined : Instance.t;   (** facts with undefined truth value *)
 }
 
-val gamma : Ast.program -> Instance.t -> Instance.t -> Instance.t
-(** [gamma p input s]: the stable operator — least fixpoint of [p] over
-    [input] where a negated idb atom [¬R(ā)] holds iff [R(ā) ∉ s]. *)
-
 val eval : Ast.program -> Instance.t -> model
+(** The well-founded model by iterating {!doubled_step_program}. Agrees
+    with the alternating fixpoint read on the reference engine
+    ({!Refeval.naive} with negated idb atoms tested against the previous
+    iterate) — a tested property. *)
 
 val total : model -> bool
 (** No undefined facts: the well-founded model is total. *)
@@ -28,16 +33,6 @@ val is_stratified_compatible : Ast.program -> Instance.t -> bool
     with the stratified semantics; this checks both (used as a test
     oracle). *)
 
-(** {2 The doubled-program construction (paper, Section 7)}
-
-    The alternating fixpoint can be driven by an ordinary {e semi-positive}
-    program: rename every negated idb atom [¬R(ū)] to [¬Prev_R(ū)], making
-    the previous iterate an edb relation. Iterating that program — feeding
-    each round's result back in as the [Prev_*] relations — computes the
-    well-founded model with a stratified engine, which is how the paper
-    argues connected Datalog¬ under the well-founded semantics stays in
-    Mdisjoint. *)
-
 val prev_prefix : string
 (** ["Prev_"]. *)
 
@@ -46,7 +41,3 @@ val doubled_step_program : Ast.program -> Ast.program
     The result is semi-positive whenever the original negates only idb
     and edb atoms (always). Rule connectivity is untouched: renaming
     preserves [graph+]. *)
-
-val eval_via_doubling : Ast.program -> Instance.t -> model
-(** The well-founded model computed by iterating
-    {!doubled_step_program} — agrees with {!eval} (tested property). *)

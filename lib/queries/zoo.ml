@@ -468,40 +468,21 @@ let winmove =
         (fun x acc -> Instance.add (Fact.make "Win" [ x ]) acc)
         won Instance.empty)
 
-(* The doubled-program evaluation of win-move: one connected SP-Datalog
-   step program, iterated. The step reads the previous round's win set as
-   an edb relation P, so each round is an honest stratified evaluation;
-   the OCaml loop plays the role of the program doubling. *)
+(* The doubled-program evaluation of win-move: the well-founded model of
+   the win-move program, which {!Datalog.Wellfounded} computes by
+   iterating the connected SP-Datalog step W(x) :- Move(x,y), not
+   Prev_W(y), each step an honest stratified evaluation. *)
 let winmove_doubled =
-  let step_program =
-    Datalog.Parser.parse_program "W(x) :- Move(x,y), not P(y)."
-  in
-  let rename from_rel to_rel i =
-    Instance.fold
-      (fun f acc ->
-        if Fact.rel f = from_rel then
-          Instance.add (Fact.make to_rel (Fact.args f)) acc
-        else acc)
-      i Instance.empty
+  let program =
+    Datalog.Parser.parse_program "Win(x) :- Move(x,y), not Win(y)."
   in
   Query.make ~name:"win-move-doubled" ~input:winmove_schema
     ~output:(Schema.of_list [ ("Win", 1) ])
     (fun i ->
-      let moves = Instance.restrict_rels i [ "Move" ] in
-      let step prev =
-        let input = Instance.union moves (rename "W" "P" prev) in
-        Instance.restrict_rels
-          (Datalog.Eval.stratified_exn step_program input)
-          [ "W" ]
+      let m =
+        Datalog.Wellfounded.eval program (Instance.restrict_rels i [ "Move" ])
       in
-      let rec fix under over =
-        let under' = step over in
-        let over' = step under' in
-        if Instance.equal under under' && Instance.equal over over' then under
-        else fix under' over'
-      in
-      let under = fix Instance.empty (step Instance.empty) in
-      rename "W" "Win" under)
+      Instance.restrict_rels m.Datalog.Wellfounded.true_facts [ "Win" ])
 
 (* ------------------------------------------------------------------ *)
 (* Datalog sources *)

@@ -439,36 +439,41 @@ let test_doubled_step_is_semipositive () =
          Connectivity.rule_is_connected r = Connectivity.rule_is_connected r')
        winmove p)
 
-let test_doubling_agrees_on_winmove () =
-  for seed = 0 to 14 do
-    let st = Random.State.make [| seed |] in
-    let g =
-      inst
-        (List.init 10 (fun _ ->
-             Fact.make "Move"
-               [ Value.int (Random.State.int st 6);
-                 Value.int (Random.State.int st 6) ]))
-    in
-    let a = Wellfounded.eval winmove g in
-    let b = Wellfounded.eval_via_doubling winmove g in
-    check_bool
-      (Printf.sprintf "true facts agree (seed %d)" seed)
-      true
-      (Instance.equal a.Wellfounded.true_facts b.Wellfounded.true_facts);
-    check_bool
-      (Printf.sprintf "undefined agree (seed %d)" seed)
-      true
-      (Instance.equal a.Wellfounded.undefined b.Wellfounded.undefined)
-  done
+(* The alternating fixpoint on the frozen reference engine: Γ(S) is the
+   least fixpoint of the program with negated idb atoms read against S
+   and negated edb atoms against the input. Iterating Γ from ∅, the even
+   iterates climb to the true facts and the odd ones descend to the
+   not-false facts. *)
+let wf_reference p input =
+  let idb = Ast.idb p in
+  let gamma s =
+    Refeval.naive
+      ~neg:(fun _ f ->
+        if Schema.mem idb (Fact.rel f) then not (Instance.mem f s)
+        else not (Instance.mem f input))
+      p input
+  in
+  let rec go under over =
+    let under' = gamma over in
+    let over' = gamma under' in
+    if Instance.equal under under' && Instance.equal over over' then
+      (under, over)
+    else go under' over'
+  in
+  let under, over = go Instance.empty (gamma Instance.empty) in
+  (under, Instance.diff over under)
+
+let agrees_with_reference p input =
+  let m = Wellfounded.eval p input in
+  let true_facts, undefined = wf_reference p input in
+  Instance.equal m.Wellfounded.true_facts true_facts
+  && Instance.equal m.Wellfounded.undefined undefined
 
 let test_doubling_agrees_on_stratifiable () =
   let p = Adom.augment (Parser.parse_program comp_tc_src) in
   let g = inst [ edge 1 2; edge 2 3 ] in
-  let a = Wellfounded.eval p g in
-  let b = Wellfounded.eval_via_doubling p g in
   check_bool "agree" true
-    (Instance.equal a.Wellfounded.true_facts b.Wellfounded.true_facts
-    && Wellfounded.total b)
+    (agrees_with_reference p g && Wellfounded.total (Wellfounded.eval p g))
 
 let test_wf_agrees_with_stratified () =
   let p = Adom.augment (Parser.parse_program comp_tc_src) in
@@ -578,6 +583,22 @@ let test_ilog_same_tuple_same_value () =
     check_int "single R fact" 1
       (Instance.cardinal (Instance.restrict_rels out [ "R" ]))
   | _ -> Alcotest.fail "expected output"
+
+(* The budget ends every caller of the one loop with [Diverged]: a
+   recursive invention never reaches a fixpoint. *)
+let test_budget_one_loop () =
+  let p = Parser.parse_program "N(*, x) :- V(x). N(*, n) :- N(n, x)." in
+  let v = inst [ fact "V" [ 1 ] ] in
+  let diverges name f =
+    check_bool name true
+      (match f () with _ -> false | exception Eval.Diverged -> true)
+  in
+  diverges "Eval.stratified" (fun () -> Eval.stratified ~max_facts:1000 p v);
+  diverges "Ivm.materialize" (fun () ->
+      Ivm.current (Ivm.materialize ~max_facts:1000 p v));
+  let h = Ivm.materialize ~max_facts:1000 p Instance.empty in
+  diverges "Ivm.insert" (fun () -> Ivm.insert h v);
+  check_bool "handle unchanged" true (Instance.is_empty (Ivm.current h))
 
 let test_ilog_divergence () =
   (* Recursive invention: R feeds itself through invention. *)
@@ -770,7 +791,7 @@ let prop_tc_idempotent =
   QCheck2.Test.make ~name:"TC fixpoint is a fixpoint" ~count:100
     (gen_graph 7 14) (fun i ->
       let out = Eval.seminaive tc i in
-      Instance.equal out (Eval.immediate_consequence tc out))
+      Instance.subset (Refeval.derive tc out) out)
 
 let prop_tc_monotone =
   QCheck2.Test.make ~name:"positive program is monotone" ~count:100
@@ -783,17 +804,24 @@ let prop_wf_total_on_stratifiable =
   QCheck2.Test.make ~name:"WF total + agrees on stratifiable P1" ~count:50
     (gen_graph 5 8) (fun i -> Wellfounded.is_stratified_compatible p i)
 
+(* Random move graphs: E edges reinterpreted as moves. *)
+let gen_game =
+  QCheck2.Gen.map
+    (fun e ->
+      Instance.fold
+        (fun f acc -> Instance.add (Fact.make "Move" (Fact.args f)) acc)
+        e Instance.empty)
+    (gen_graph 6 10)
+
 let prop_wf_winmove_partition =
   QCheck2.Test.make ~name:"win-move WF: wins, losses, draws partition"
-    ~count:100 (gen_graph 6 10) (fun e ->
-      (* reinterpret E edges as moves *)
-      let i =
-        Instance.fold
-          (fun f acc -> Instance.add (Fact.make "Move" (Fact.args f)) acc)
-          e Instance.empty
-      in
+    ~count:100 gen_game (fun i ->
       let m = Wellfounded.eval winmove i in
       Instance.is_empty (Instance.inter m.true_facts m.undefined))
+
+let prop_doubling_agrees_on_winmove =
+  QCheck2.Test.make ~name:"doubling agrees (win-move)" ~count:100 gen_game
+    (agrees_with_reference winmove)
 
 (* Random well-formed rules: positive atoms over a small var pool first,
    then head/neg/ineq drawing only from the positive variables. *)
@@ -1249,6 +1277,8 @@ let () =
             test_reorder_duplicate_atom;
           Alcotest.test_case "reorder preserves semantics" `Quick
             test_reorder_preserves_semantics;
+          Alcotest.test_case "budget through the one loop" `Quick
+            test_budget_one_loop;
         ] );
       ( "refeval",
         [
@@ -1267,8 +1297,7 @@ let () =
           Alcotest.test_case "cycle with escape" `Quick test_wf_cycle_with_escape;
           Alcotest.test_case "doubled step semi-positive" `Quick
             test_doubled_step_is_semipositive;
-          Alcotest.test_case "doubling agrees (win-move)" `Quick
-            test_doubling_agrees_on_winmove;
+          QCheck_alcotest.to_alcotest prop_doubling_agrees_on_winmove;
           Alcotest.test_case "doubling agrees (stratifiable)" `Quick
             test_doubling_agrees_on_stratifiable;
           Alcotest.test_case "agrees with stratified" `Quick
