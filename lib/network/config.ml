@@ -104,11 +104,11 @@ let system_facts variant policy network x a =
        for. *)
     List.fold_left
       (fun acc f ->
-        if Policy.responsible policy x f then
-          Instance.add (Fact.make (policy_rel (Fact.rel f)) (Fact.args f)) acc
-        else acc)
+        Instance.add
+          (Fact.make_array (policy_rel (Fact.rel f)) f.Fact.args)
+          acc)
       base
-      (Schema.all_facts (Policy.schema policy) a)
+      (Policy.responsible_facts policy x a)
 
 (* The local half of a transition: node [x]'s new state, sent facts and
    output delta. It reads only [x], [x]'s state [s1] and the support [m]
@@ -121,11 +121,28 @@ type local = {
   state_churn : int;
 }
 
+(* [dist_P] of the input over the transducer's input schema is fixed for
+   a whole run or check, so each domain keeps the last one it computed,
+   keyed by the physical identity of its arguments, rather than placing
+   the input again on every transition. *)
+let last_placement = Domain.DLS.new_key (fun () -> None)
+
+let placement policy sigma input =
+  match Domain.DLS.get last_placement with
+  | Some (p, s, i, h) when p == policy && s == sigma && i == input -> h
+  | _ ->
+    let h = Policy.dist policy (Instance.restrict input sigma) in
+    Domain.DLS.set last_placement (Some (policy, sigma, input, h));
+    h
+
 let local_step ~variant ~policy ~transducer ~input ~node:x s1 m =
   let schema = transducer.Transducer.schema in
   let network = Policy.network policy in
-  let h = Policy.dist policy (Instance.restrict input schema.Transducer_schema.input) in
-  let local_input = Distributed.local h x in
+  let local_input =
+    Distributed.local
+      (placement policy schema.Transducer_schema.input input)
+      x
+  in
   let j = Instance.union local_input (Instance.union s1 (Instance.of_set m)) in
   let a =
     let from_j = Instance.adom j in

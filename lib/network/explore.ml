@@ -158,6 +158,9 @@ let check ?(max_configs = 20_000) ?jobs ~variant ~policy ~transducer ~query
   let bfs ~mapper ~inspect =
     let start = Config.start network in
     let visited = ref (Cset.singleton start) in
+    (* [Cset.cardinal] walks the whole set; the budget check runs once
+       per expanded configuration, so the size is counted instead. *)
+    let n_visited = ref 1 in
     let frontier = ref [ start ] in
     (* Per-depth trajectory: both the frontier sample and the wave's
        dedup count happen in the sequential merge, so the series is
@@ -182,9 +185,8 @@ let check ?(max_configs = 20_000) ?jobs ~variant ~policy ~transducer ~query
         let next = ref [] in
         List.iter
           (fun (verdict, succs) ->
-            if Cset.cardinal !visited > max_configs then
-              raise
-                (Found (Out_of_budget { configs = Cset.cardinal !visited }));
+            if !n_visited > max_configs then
+              raise (Found (Out_of_budget { configs = !n_visited }));
             Observe.Metrics.incr m_expanded;
             (match verdict with Some v -> raise (Found v) | None -> ());
             List.iter
@@ -195,6 +197,7 @@ let check ?(max_configs = 20_000) ?jobs ~variant ~policy ~transducer ~query
                 end
                 else begin
                   visited := Cset.add c !visited;
+                  incr n_visited;
                   next := c :: !next
                 end)
               succs)
@@ -205,7 +208,7 @@ let check ?(max_configs = 20_000) ?jobs ~variant ~policy ~transducer ~query
         incr depth;
         frontier := List.rev !next
       done;
-      Consistent { configs = Cset.cardinal !visited }
+      Consistent { configs = !n_visited }
     with Found v -> v
   in
   let verdict =

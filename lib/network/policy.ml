@@ -30,6 +30,43 @@ let assign t f =
   else nodes
 
 let responsible t x f = List.exists (Value.equal x) (assign t f)
+
+(* Under a domain-guided policy a fact is [x]'s exactly when one of its
+   values is [x]'s own — [α] maps it to [x] — so only the argument lists
+   through an own value are built, each once: an own value at the head,
+   or a non-own head and an own value further on. Other policies, and an
+   [α] that leaves some value of [a] without a node, filter every fact
+   over [a] through {!responsible}, which raises where {!assign} does. *)
+let responsible_facts t x a =
+  let filter () =
+    List.filter (responsible t x) (Schema.all_facts t.schema a)
+  in
+  match t.alpha with
+  | None -> filter ()
+  | Some alpha ->
+    let owners = List.map (fun v -> (v, alpha v)) (Value.Set.elements a) in
+    if List.exists (fun (_, nodes) -> nodes = []) owners then filter ()
+    else
+      let own, others =
+        List.partition_map
+          (fun (v, nodes) ->
+            if List.exists (Value.equal x) nodes then Left v else Right v)
+          owners
+      in
+      let cons heads tails =
+        List.concat_map (fun v -> List.map (fun tl -> v :: tl) tails) heads
+      in
+      let rec any k =
+        if k = 0 then [ [] ] else cons (List.map fst owners) (any (k - 1))
+      in
+      let rec touching k =
+        if k = 0 || own = [] then []
+        else cons own (any (k - 1)) @ cons others (touching (k - 1))
+      in
+      List.concat_map
+        (fun (name, k) -> List.map (Fact.make name) (touching k))
+        (Schema.relations t.schema)
+
 let is_domain_guided t = t.alpha <> None
 let domain_assignment t = t.alpha
 

@@ -19,6 +19,14 @@ val assign : t -> Fact.t -> Value.t list
 
 val responsible : t -> Value.t -> Fact.t -> bool
 
+val responsible_facts : t -> Value.t -> Value.Set.t -> Fact.t list
+(** [responsible_facts p x a]: the facts over the policy's schema and
+    [a] that [x] is responsible for, in no particular order — the same
+    set as [List.filter (responsible p x) (Schema.all_facts (schema p) a)].
+    Under a domain-guided policy whose [α] gives every value of [a] a node,
+    only the facts touching [x]'s own values are built.
+    @raise Invalid_argument where that filter raises. *)
+
 val is_domain_guided : t -> bool
 
 val domain_assignment : t -> (Value.t -> Value.t list) option

@@ -44,8 +44,25 @@ let rels t =
   Fact.Set.fold (fun f acc -> Sset.add (Fact.rel f) acc) t Sset.empty
   |> Sset.elements
 
+(* Facts are ordered by relation name first, so the facts of one
+   relation, and those of every relation whose name starts with a given
+   prefix, are each one contiguous range of the set: a seek to its least
+   element and a walk to its end, not a fold over the whole instance. *)
+let from_rel t name =
+  match
+    Fact.Set.find_first_opt (fun f -> String.compare (Fact.rel f) name >= 0) t
+  with
+  | None -> Seq.empty
+  | Some f -> Fact.Set.to_seq_from f t
+
 let by_rel t name =
-  Fact.Set.fold (fun f acc -> if Fact.rel f = name then f :: acc else acc) t []
+  from_rel t name
+  |> Seq.take_while (fun f -> String.equal (Fact.rel f) name)
+  |> Seq.fold_left (fun acc f -> f :: acc) []
+
+let with_prefix t prefix =
+  from_rel t prefix
+  |> Seq.take_while (fun f -> String.starts_with ~prefix (Fact.rel f))
 
 (* Order-insensitive only because set iteration is sorted: the digest is
    a fold over facts in {!Fact.compare} order, so equal instances hash

@@ -49,7 +49,13 @@ val rels : t -> string list
 (** Relation names occurring in the instance, sorted, without duplicates. *)
 
 val by_rel : t -> string -> Fact.t list
-(** All facts with the given relation name. *)
+(** All facts with the given relation name, in descending
+    {!Fact.compare} order. A range seek: O(log |I| + answer). *)
+
+val with_prefix : t -> string -> Fact.t Seq.t
+(** The facts whose relation name starts with the prefix (the prefix
+    itself included), in {!Fact.compare} order. A range seek, like
+    {!by_rel}. *)
 
 val hash : t -> int
 (** Structural digest: a fold of {!Fact.hash} over the facts in

@@ -14,7 +14,7 @@ let add ?(copies = 1) f t =
 
 let of_list l = List.fold_left (fun t f -> add f t) empty l
 let of_instance i = Instance.fold (fun f t -> add f t) i empty
-let union a b = Fact.Map.fold (fun f n t -> add ~copies:n f t) b a
+let union a b = Fact.Map.union (fun _ m n -> Some (m + n)) a b
 
 let diff a b =
   Fact.Map.fold

@@ -11,15 +11,18 @@ let rename ~prefix i =
 
 let unrename ~prefix i =
   let pl = String.length prefix in
-  Instance.fold
-    (fun f acc ->
+  Seq.fold_left
+    (fun acc f ->
       let name = Fact.rel f in
-      if String.length name > pl && String.sub name 0 pl = prefix then
+      if String.length name > pl then
         Instance.add
-          (Fact.make (String.sub name pl (String.length name - pl)) (Fact.args f))
+          (Fact.make_array
+             (String.sub name pl (String.length name - pl))
+             f.Fact.args)
           acc
       else acc)
-    i Instance.empty
+    Instance.empty
+    (Instance.with_prefix i prefix)
 
 let restrict_input input d = Instance.restrict d input
 

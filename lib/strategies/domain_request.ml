@@ -13,66 +13,74 @@ let known_val_rel = "KnownVal"
 let got_req_rel = "GotReq"
 let got_ok_rel = "GotOk"
 
-let collected input d =
-  let local = Common.restrict_input input d in
-  let stored = Instance.restrict (Common.unrename ~prefix:got_prefix d) input in
-  let delivered =
-    Instance.restrict (Common.unrename ~prefix:fact_msg_prefix d) input
-  in
-  Instance.union local (Instance.union stored delivered)
+(* Each local query below reads [d] through range seeks and builds every
+   index it needs once per call — the OK'd values, acks grouped by
+   requester, local facts by value — so a step costs work in proportion
+   to [d], never a rescan per value or per request. *)
 
-(* Pairs (z, a) from a binary relation plus its delivered counterpart. *)
-let pairs_of d rels =
+(* Response facts, stored or just delivered, over the input schema. *)
+let responses input d =
+  Instance.union
+    (Instance.restrict (Common.unrename ~prefix:got_prefix d) input)
+    (Instance.restrict (Common.unrename ~prefix:fact_msg_prefix d) input)
+
+let collected input d =
+  Instance.union (Common.restrict_input input d) (responses input d)
+
+(* Binary facts of the given relations. *)
+let binary d rels =
   List.concat_map
-    (fun rel ->
-      List.filter_map
-        (fun f ->
-          if Fact.arity f = 2 then Some (Fact.arg f 0, Fact.arg f 1) else None)
-        (Instance.by_rel d rel))
+    (fun rel -> List.filter (fun f -> Fact.arity f = 2) (Instance.by_rel d rel))
     rels
 
-let has_ok d x a =
-  List.exists
-    (fun (z, b) -> Value.equal z x && Value.equal b a)
-    (pairs_of d [ got_ok_rel; ok_rel ])
+(* Values [a] with [OK(x, a)] stored or just delivered. *)
+let oks_for d x =
+  List.fold_left
+    (fun acc f ->
+      if Value.equal (Fact.arg f 0) x then Value.Set.add (Fact.arg f 1) acc
+      else acc)
+    Value.Set.empty
+    (binary d [ got_ok_rel; ok_rel ])
 
 let complete input d =
   match Common.my_id d with
   | None -> false
   | Some x ->
-    let c = Common.my_adom d in
+    let oks = oks_for d x in
     Value.Set.for_all
-      (fun a -> Common.responsible_value input d a || has_ok d x a)
-      c
+      (fun a -> Value.Set.mem a oks || Common.responsible_value input d a)
+      (Common.my_adom d)
 
-(* Acks this node has seen from requester z, as a fact set over the input
-   schema. *)
-let acks_from d z =
-  List.fold_left
-    (fun acc f ->
-      let rel = Fact.rel f in
-      let prefix_len_mem = String.length got_ack_prefix in
-      let prefix_len_msg = String.length ack_msg_prefix in
-      let base =
-        if
-          String.length rel > prefix_len_mem
-          && String.sub rel 0 prefix_len_mem = got_ack_prefix
-        then Some (String.sub rel prefix_len_mem (String.length rel - prefix_len_mem))
-        else if
-          String.length rel > prefix_len_msg
-          && String.sub rel 0 prefix_len_msg = ack_msg_prefix
-        then Some (String.sub rel prefix_len_msg (String.length rel - prefix_len_msg))
-        else None
-      in
-      match base with
-      | Some base when Fact.arity f >= 2 && Value.equal (Fact.arg f 0) z ->
-        Instance.add
-          (Fact.make base (List.tl (Fact.args f)))
+(* Acks seen, stored or just delivered, grouped by requester: [z] maps
+   to the facts [R(ā)] of every [GotAck_R(z, ā)] / [AckMsg_R(z, ā)]. *)
+let acks_by_requester d =
+  Instance.fold
+    (fun f acc ->
+      if Fact.arity f >= 2 then
+        let acked = Fact.make (Fact.rel f) (List.tl (Fact.args f)) in
+        Value.Map.update (Fact.arg f 0)
+          (fun s ->
+            Some (Instance.add acked (Option.value s ~default:Instance.empty)))
           acc
-      | _ -> acc)
-    Instance.empty (Instance.to_list d)
+      else acc)
+    (Instance.union
+       (Common.unrename ~prefix:got_ack_prefix d)
+       (Common.unrename ~prefix:ack_msg_prefix d))
+    Value.Map.empty
 
-let requests_seen d = pairs_of d [ got_req_rel; req_rel ]
+(* Local facts containing each value. *)
+let facts_by_value local =
+  Instance.fold
+    (fun f acc ->
+      Value.Set.fold
+        (fun a acc ->
+          Value.Map.update a
+            (fun l -> Some (f :: Option.value l ~default:[]))
+            acc)
+        (Fact.adom f) acc)
+    local Value.Map.empty
+
+let requests_seen d = binary d [ got_req_rel; req_rel ]
 
 let q_snd input d =
   let local = Common.restrict_input input d in
@@ -86,35 +94,43 @@ let q_snd input d =
   | None -> ()
   | Some x ->
     (* 2. Request every unresolved value of MyAdom. *)
+    let oks = oks_for d x in
     Value.Set.iter
       (fun a ->
-        if (not (Common.responsible_value input d a)) && not (has_ok d x a)
+        if
+          (not (Value.Set.mem a oks))
+          && not (Common.responsible_value input d a)
         then add (Fact.make req_rel [ x; a ]))
       (Common.my_adom d);
     (* 3. Acknowledge every collected response fact. *)
     Instance.iter
       (fun f ->
         add (Fact.make (ack_msg_prefix ^ Fact.rel f) (x :: Fact.args f)))
-      (Instance.restrict (Common.unrename ~prefix:got_prefix d) input);
-    Instance.iter
-      (fun f ->
-        add (Fact.make (ack_msg_prefix ^ Fact.rel f) (x :: Fact.args f)))
-      (Instance.restrict (Common.unrename ~prefix:fact_msg_prefix d) input));
+      (responses input d));
   (* 4. Answer remembered requests for values we are responsible for. *)
-  List.iter
-    (fun (z, a) ->
-      if Common.responsible_value input d a then begin
-        let mine =
-          Instance.filter (fun f -> Value.Set.mem a (Fact.adom f)) local
-        in
-        Instance.iter
-          (fun f -> add (Fact.make (fact_msg_prefix ^ Fact.rel f) (Fact.args f)))
-          mine;
-        let acked = acks_from d z in
-        if Instance.for_all (fun f -> Instance.mem f acked) mine then
-          add (Fact.make ok_rel [ z; a ])
-      end)
-    (requests_seen d);
+  (match requests_seen d with
+  | [] -> ()
+  | requests ->
+    let by_value = facts_by_value local in
+    let acks = acks_by_requester d in
+    List.iter
+      (fun f ->
+        let z = Fact.arg f 0 and a = Fact.arg f 1 in
+        if Common.responsible_value input d a then begin
+          let mine =
+            Option.value (Value.Map.find_opt a by_value) ~default:[]
+          in
+          List.iter
+            (fun f ->
+              add (Fact.make (fact_msg_prefix ^ Fact.rel f) (Fact.args f)))
+            mine;
+          let acked =
+            Option.value (Value.Map.find_opt z acks) ~default:Instance.empty
+          in
+          if List.for_all (fun f -> Instance.mem f acked) mine then
+            add (Fact.make ok_rel [ z; a ])
+        end)
+      requests);
   !out
 
 let q_ins input d =
@@ -125,33 +141,21 @@ let q_ins input d =
     (fun a -> add (Fact.make known_val_rel [ a ]))
     (Common.my_adom d);
   (* Persist collected response facts. *)
-  Instance.iter
-    (fun f -> add (Fact.make (got_prefix ^ Fact.rel f) (Fact.args f)))
-    (Instance.restrict (Common.unrename ~prefix:fact_msg_prefix d) input);
-  Instance.iter
-    (fun f -> add (Fact.make (got_prefix ^ Fact.rel f) (Fact.args f)))
-    (Instance.restrict (Common.unrename ~prefix:got_prefix d) input);
+  Instance.iter add (Common.rename ~prefix:got_prefix (responses input d));
   (* Persist requests, acks, OKs. *)
   List.iter
-    (fun (z, a) -> add (Fact.make got_req_rel [ z; a ]))
+    (fun f -> add (Fact.make got_req_rel (Fact.args f)))
     (requests_seen d);
   List.iter
-    (fun (z, a) -> add (Fact.make got_ok_rel [ z; a ]))
-    (pairs_of d [ ok_rel; got_ok_rel ]);
-  Instance.iter
+    (fun f -> add (Fact.make got_ok_rel (Fact.args f)))
+    (binary d [ ok_rel; got_ok_rel ]);
+  Instance.iter add
+    (Common.rename ~prefix:got_ack_prefix
+       (Common.unrename ~prefix:ack_msg_prefix d));
+  Seq.iter
     (fun f ->
-      let rel = Fact.rel f in
-      let pl = String.length ack_msg_prefix in
-      if String.length rel > pl && String.sub rel 0 pl = ack_msg_prefix then
-        add
-          (Fact.make
-             (got_ack_prefix ^ String.sub rel pl (String.length rel - pl))
-             (Fact.args f))
-      else if
-        String.length rel > String.length got_ack_prefix
-        && String.sub rel 0 (String.length got_ack_prefix) = got_ack_prefix
-      then add f)
-    d;
+      if String.length (Fact.rel f) > String.length got_ack_prefix then add f)
+    (Instance.with_prefix d got_ack_prefix);
   !out
 
 let q_out q input d =

@@ -1250,6 +1250,53 @@ let prop_broadcast_confluent_on_random_inputs =
           r.Run.quiesced && Instance.equal r.Run.outputs expected)
         [ 1; 2; 3 ])
 
+(* [Policy.responsible_facts] against the filter it replaces, on a schema
+   with arities 1 to 3, for every constructor: including a [single]
+   whose node lies outside the network and a domain-guided [α] that
+   leaves some values without a node, where both must raise alike. *)
+let facts_schema = Schema.of_list [ ("V", 1); ("E", 2); ("R", 3) ]
+
+let fact_policies network =
+  let nodes = List.map Value.int [ 1; 2; 3 ] in
+  [
+    Policy.hash_fact facts_schema network;
+    Policy.first_attribute facts_schema network;
+    Policy.hash_value facts_schema network;
+    Policy.replicate_all facts_schema network;
+    Policy.override ~name:"override"
+      ~on:(fun f -> Fact.rel f = "E")
+      ~to_:[ v 3 ]
+      (Policy.hash_value facts_schema network);
+    Policy.domain_guided ~name:"partial" facts_schema network (fun value ->
+        match value with
+        | Value.Int a when a mod 3 = 0 -> []
+        | Value.Int a -> [ Value.int (1 + (a mod 3)) ]
+        | _ -> nodes);
+  ]
+  @ List.map (fun x -> Policy.single facts_schema network x) nodes
+
+let outcome f =
+  match f () with
+  | facts -> Ok (List.sort Fact.compare facts)
+  | exception Invalid_argument msg -> Error msg
+
+let prop_responsible_facts_is_filter =
+  QCheck2.Test.make ~name:"responsible_facts = filter of all_facts" ~count:150
+    QCheck2.Gen.(
+      triple (int_range 1 3) (int_range 0 4)
+        (list_size (int_range 0 5) (int_range 0 5)))
+    (fun (n, x, values) ->
+      let network = Distributed.network_of_ints (List.init n (fun i -> i + 1)) in
+      let x = v x in
+      let a = Value.Set.of_list (List.map v values) in
+      List.for_all
+        (fun p ->
+          outcome (fun () -> Policy.responsible_facts p x a)
+          = outcome (fun () ->
+                List.filter (Policy.responsible p x)
+                  (Schema.all_facts facts_schema a)))
+        (fact_policies network))
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -1271,6 +1318,8 @@ let () =
           Alcotest.test_case "override" `Quick test_policy_override;
           Alcotest.test_case "schema guard" `Quick test_policy_schema_guard;
         ] );
+      ( "policy-facts",
+        [ QCheck_alcotest.to_alcotest prop_responsible_facts_is_filter ] );
       ( "schema",
         [
           Alcotest.test_case "system schema" `Quick test_schema_system;

@@ -429,7 +429,13 @@ let prop_multiset_union_size =
     (QCheck2.Gen.pair gen_multiset_ops gen_multiset_ops) (fun (xs, ys) ->
       let mk l = Multiset.of_list (List.map (fun (a, b) -> edge a b) l) in
       let a = mk xs and b = mk ys in
-      Multiset.size (Multiset.union a b) = Multiset.size a + Multiset.size b)
+      let u = Multiset.union a b in
+      Multiset.size u = Multiset.size a + Multiset.size b
+      && List.for_all
+           (fun (x, y) ->
+             let f = edge x y in
+             Multiset.count f u = Multiset.count f a + Multiset.count f b)
+           (List.concat_map (fun x -> List.init 4 (fun y -> (x, y))) (List.init 4 Fun.id)))
 
 let prop_multiset_diff_union =
   QCheck2.Test.make ~name:"(a + b) - b = a" ~count:200
@@ -437,6 +443,46 @@ let prop_multiset_diff_union =
       let mk l = Multiset.of_list (List.map (fun (a, b) -> edge a b) l) in
       let a = mk xs and b = mk ys in
       Multiset.equal (Multiset.diff (Multiset.union a b) b) a)
+
+(* Range access: relation names that are prefixes of each other, so a
+   seek that stops early or runs on shows up as a difference from the
+   plain filter. *)
+let range_names = [ "Got"; "Got_"; "Got_E"; "GotAck_E"; "GotOk"; "E"; "Z" ]
+
+let gen_range_instance =
+  QCheck2.Gen.(
+    let gen_fact =
+      let* name = oneofl range_names in
+      let* arity = int_range 1 3 in
+      let* args = list_size (return arity) (int_range 0 3) in
+      return (Fact.make name (List.map Value.int args))
+    in
+    map Instance.of_list (list_size (int_range 0 30) gen_fact))
+
+let prop_by_rel_is_filter =
+  QCheck2.Test.make ~name:"by_rel equals a filter" ~count:300
+    gen_range_instance (fun i ->
+      List.for_all
+        (fun name ->
+          Instance.by_rel i name
+          = List.rev
+              (List.filter (fun f -> Fact.rel f = name) (Instance.to_list i)))
+        ("Go" :: "Got_F" :: range_names))
+
+let prop_with_prefix_is_filter =
+  QCheck2.Test.make ~name:"with_prefix equals a filter" ~count:300
+    gen_range_instance (fun i ->
+      List.for_all
+        (fun prefix ->
+          List.of_seq (Instance.with_prefix i prefix)
+          = List.filter
+              (fun f -> String.starts_with ~prefix (Fact.rel f))
+              (Instance.to_list i))
+        ("" :: "Go" :: "GotA" :: range_names))
+
+let range_cases =
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_by_rel_is_filter; prop_with_prefix_is_filter ]
 
 (* Random instances over a mixed schema with int and symbol values, all
    of which survive the fact-file syntax. *)
@@ -563,4 +609,5 @@ let () =
           Alcotest.test_case "dot export" `Quick test_dot;
         ] );
       ("properties", qcheck_cases);
+      ("range-access", range_cases);
     ]
